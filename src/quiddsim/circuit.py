@@ -58,9 +58,12 @@ __all__ = [
     "collapse",
     "sample_measure",
     "run",
+    "describe",
+    "format_value",
     "COLLAPSE_TOL",
 ]
 
+# Outcome probabilities at or below this cannot be collapsed onto.
 COLLAPSE_TOL = 1e-12
 
 
@@ -347,14 +350,13 @@ def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
     return p0, p1
 
 
-def collapse(rho: QuIDD, qubit: int, outcome: int,
-             tol: float = COLLAPSE_TOL) -> QuIDD:
+def collapse(rho: QuIDD, qubit: int, outcome: int) -> QuIDD:
     """Project onto ``outcome`` and renormalize: P rho P / p."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     masked = _masked(rho, qubit, outcome)
     p = linalg.trace(masked).real
-    if p <= tol:
+    if p <= COLLAPSE_TOL:
         raise SimulationError(
             f"collapse onto outcome {outcome} of qubit {qubit} has "
             f"probability {p:.3g}")
@@ -374,7 +376,8 @@ def sample_measure(rho: QuIDD, qubit: int, rng: XorShift64Star):
 
 # -- execution --------------------------------------------------------------
 
-def _describe(op) -> str:
+def describe(op) -> str:
+    """One-line label of an operation, as reported per step."""
     if isinstance(op, Gate):
         base = f"gate {op.name} {list(op.targets)}"
         if op.controls:
@@ -396,7 +399,9 @@ def _describe(op) -> str:
     return repr(op)
 
 
-def _format_value(v: complex) -> str:
+def format_value(v: complex) -> str:
+    """Probe output form of a complex value: real part alone if the
+    imaginary part is negligible."""
     if abs(v.imag) < 1e-12:
         return f"{v.real:.12g}"
     return f"{v.real:.12g}{v.imag:+.12g}i"
@@ -425,10 +430,11 @@ def initial_density(mgr: DDManager, circuit: Circuit) -> QuIDD:
     raise CircuitError(f"unknown initial state {init!r}")
 
 
-def run(circuit: Circuit, seed: int = 0, sig_digits: int = 12) -> RunResult:
+def run(circuit: Circuit, seed: int = 0) -> RunResult:
     """Execute on the diagram engine. Deterministic for a given seed."""
+    t_start = time.perf_counter()
     validate(circuit)
-    mgr = new_manager(circuit.n_qubits, sig_digits)
+    mgr = new_manager(circuit.n_qubits)
     rng = XorShift64Star(seed)
     rho = initial_density(mgr, circuit)
     records: list[MeasurementRecord] = []
@@ -436,7 +442,6 @@ def run(circuit: Circuit, seed: int = 0, sig_digits: int = 12) -> RunResult:
     steps: list[StepStat] = []
     op_cache: dict = {}
     peak = count_nodes(rho.root)
-    t_start = time.perf_counter()
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
@@ -471,7 +476,7 @@ def run(circuit: Circuit, seed: int = 0, sig_digits: int = 12) -> RunResult:
             elif isinstance(op, TraceAllOp):
                 value = linalg.trace(rho)
                 rho = linalg.partial_trace_multi(rho, range(rho.n_qubits))
-                prints.append((step, f"trace_all: {_format_value(value)}"))
+                prints.append((step, f"trace_all: {format_value(value)}"))
                 op_cache.clear()
             elif isinstance(op, AssertProb):
                 p0, p1 = measure_prob(rho, op.qubit)
@@ -488,7 +493,7 @@ def run(circuit: Circuit, seed: int = 0, sig_digits: int = 12) -> RunResult:
                         (step, f"probs {op.qubit}: p0={p0:.12g} p1={p1:.12g}"))
                 elif op.what == "trace":
                     prints.append(
-                        (step, f"trace: {_format_value(linalg.trace(rho))}"))
+                        (step, f"trace: {format_value(linalg.trace(rho))}"))
                 else:
                     prints.append((step, f"nodes: {count_nodes(rho.root)}"))
             else:
@@ -499,7 +504,7 @@ def run(circuit: Circuit, seed: int = 0, sig_digits: int = 12) -> RunResult:
             raise SimulationError(str(exc), step) from exc
         nodes = count_nodes(rho.root)
         peak = max(peak, nodes)
-        steps.append(StepStat(step, _describe(op), nodes,
+        steps.append(StepStat(step, describe(op), nodes,
                               (time.perf_counter() - t0) * 1e3))
 
     stats = RunStats(

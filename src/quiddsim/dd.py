@@ -9,11 +9,11 @@ creates and guarantees canonicity through two reduction rules:
   returns the child instead).
 
 Terminal uniqueness is decided per component on a lattice of cells, one
-cell per value rounded to a configurable number of significant decimal
-digits (round-half-even, negative zero normalized to +0.0, tiny
-components snapped to exact zero). The first value to land in a cell
-claims it and is stored at full double precision; later values in the
-same cell share the claimant's node. Two diagrams built through one
+cell per value rounded to :data:`SIG_DIGITS` significant decimal digits
+(round-half-even, negative zero normalized to +0.0, components below
+:data:`ZERO_EPS` snapped to exact zero). The first value to land in a
+cell claims it and is stored at full double precision; later values in
+the same cell share the claimant's node. Two diagrams built through one
 manager denote the same function, up to that cell resolution, iff they
 are the same node object.
 
@@ -28,6 +28,11 @@ Operations are memoized in a computed table owned by the manager. Caches
 are never invalidated (nodes are immortal); ``clear_cache`` exists for
 memory pressure and for demonstrating that memoization does not change
 results. The manager is not thread-safe; share nothing or lock externally.
+
+Recursive walks are closures that refer to themselves, and through their
+locals to the manager. Each walk deletes its name once it returns, which
+breaks that cycle, so a finished manager is freed at once rather than
+when the cyclic collector next runs.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ __all__ = [
     "DDManager",
     "Node",
     "TERMINAL_LEVEL",
+    "SIG_DIGITS",
+    "ZERO_EPS",
     "ADD",
     "MUL",
     "CONJ",
@@ -55,6 +62,21 @@ __all__ = [
 ]
 
 TERMINAL_LEVEL = sys.maxsize
+
+# Significant decimal digits of the terminal uniqueness key. Two values
+# agreeing per component to this many digits share one terminal node.
+# Only the key is rounded; stored values keep full double precision, so
+# repeated arithmetic does not drift the values off their lattice.
+SIG_DIGITS = 12
+# Components smaller than this collapse to exact 0.0 before keying.
+# Cancellations of long sums leave residue around 1e-14 after thousands
+# of operations; without the floor every distinct residue would claim its
+# own terminal. Well below any amplitude the supported widths can produce
+# (a uniform 20-qubit density matrix still has entries around 1e-6).
+ZERO_EPS = 1e-12
+# Below this magnitude keys switch to fixed point (see _key_component).
+_ABS_CUTOFF = 10.0 ** (SIG_DIGITS - 16)
+_KEY_SPEC = f".{SIG_DIGITS - 1}e"
 
 # Stable callables for the common terminal operations. Using module-level
 # objects keeps computed-table keys valid for the life of the manager.
@@ -122,42 +144,18 @@ class Node:
 class DDManager:
     """Owns nodes, the uniqueness tables and the computed table.
 
-    Parameters
-    ----------
-    num_vars:
-        Fixed variable capacity. Levels ``0..num_vars-1`` are usable;
-        growing a diagram past this is an ordering error.
-    sig_digits:
-        Significant decimal digits of the terminal uniqueness key. Two
-        values agreeing per component to this many digits share one
-        terminal node. Resolution is additionally capped at 15 decimal
-        places in absolute terms, the working-precision noise floor.
-        Stored values keep full double precision; only the key is
-        rounded, so repeated arithmetic does not drift the values
-        themselves off their lattice.
-    zero_eps:
-        Components smaller than this collapse to exact 0.0 before
-        keying. Cancellations of long sums leave residue around 1e-14
-        after thousands of operations; without the floor every distinct
-        residue would claim its own terminal. Well below any amplitude
-        the supported widths can produce (a uniform 20-qubit density
-        matrix still has entries around 1e-6).
+    ``num_vars`` is the fixed variable capacity: levels ``0..num_vars-1``
+    are usable, and growing a diagram past them is an ordering error.
+    Terminal keys use the module constants :data:`SIG_DIGITS` (relative
+    resolution, capped at 15 decimal places absolute) and
+    :data:`ZERO_EPS` (components below it become exact zero), the same
+    for every manager.
     """
 
-    def __init__(self, num_vars: int, sig_digits: int = 12,
-                 zero_eps: float = 1e-12):
+    def __init__(self, num_vars: int):
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        if sig_digits < 1:
-            raise ValueError("sig_digits must be >= 1")
-        if zero_eps < 0:
-            raise ValueError("zero_eps must be >= 0")
         self.num_vars = num_vars
-        self.sig_digits = sig_digits
-        self.zero_eps = zero_eps
-        # Below this magnitude the relative key cell would be narrower
-        # than 1e-15 absolute; switch to fixed-point keying there.
-        self._abs_cutoff = 10.0 ** (sig_digits - 16)
         self.memoize = True
         self._terminals: dict[tuple[str, str], Node] = {}
         self._internal: dict[tuple[int, int, int], Node] = {}
@@ -170,10 +168,6 @@ class DDManager:
     def node_count(self) -> int:
         """Number of live nodes. Nodes are never collected, so this is
         also the peak."""
-        return len(self._nodes)
-
-    @property
-    def peak_node_count(self) -> int:
         return len(self._nodes)
 
     def clear_cache(self) -> None:
@@ -193,25 +187,25 @@ class DDManager:
     def _canonical_component(self, x: float) -> float:
         if not math.isfinite(x):
             raise ValueError(f"terminal component is not finite: {x!r}")
-        if abs(x) < self.zero_eps:
+        if abs(x) < ZERO_EPS:
             return 0.0  # also folds -0.0 into +0.0
         return x
 
     def _key_component(self, x: float) -> str:
-        # Cells are 10^(1-sig_digits) relative, but never narrower than
+        # Cells are 10^(1-SIG_DIGITS) relative, but never narrower than
         # 1e-15 absolute. Cancellation of O(1)-scale sums leaves a few
         # 1e-16 of absolute noise on the result; for a small result that
         # is thousands of relative-width cells, and a lattice finer than
         # the noise floor splits mathematically equal values into
         # permanent near-duplicate terminals.
-        if abs(x) < self._abs_cutoff:
+        if abs(x) < _ABS_CUTOFF:
             return f"{x:.15f}"
-        return f"{x:.{self.sig_digits - 1}e}"
+        return format(x, _KEY_SPEC)
 
     def terminal(self, value: complex) -> Node:
         """Canonical terminal for ``value``.
 
-        Uniqueness is decided per component at ``sig_digits``
+        Uniqueness is decided per component at :data:`SIG_DIGITS`
         significant decimal digits (scientific notation formatting,
         which rounds half to even), with absolute resolution capped at
         15 decimal places. The first value to claim a cell is the one
@@ -319,10 +313,18 @@ class DDManager:
                 cache[key] = r
             return r
 
-        return rec(f, g)
+        root = rec(f, g)
+        del rec
+        return root
 
-    def map_terminals(self, f: Node, u: Callable[[complex], complex]) -> Node:
-        """Rebuild ``f`` with ``u`` applied to every terminal value."""
+    def map_terminals(self, f: Node, op: Callable[..., complex],
+                      *args) -> Node:
+        """Rebuild ``f`` with each terminal value ``v`` replaced by
+        ``op(v, *args)``.
+
+        Memoized on ``(op, args)``: pass a stable callable such as ``MUL``
+        with its operands, not a fresh closure per call.
+        """
         self._check_owned(f)
         cache = self._cache if self.memoize else None
         mk = self.mk_internal
@@ -331,9 +333,9 @@ class DDManager:
 
         def rec(a):
             if a.level == TL:
-                return term(u(a.value))
+                return term(op(a.value, *args))
             if cache is not None:
-                key = ("map", u, a.idx)
+                key = ("map", op, args, a.idx)
                 hit = cache.get(key)
                 if hit is not None:
                     return hit
@@ -342,7 +344,9 @@ class DDManager:
                 cache[key] = r
             return r
 
-        return rec(f)
+        root = rec(f)
+        del rec
+        return root
 
     def cofactor(self, f: Node, level: int, bit: int) -> Node:
         """Restrict variable ``level`` to ``bit`` (0 or 1).
@@ -373,7 +377,9 @@ class DDManager:
                 cache[key] = r
             return r
 
-        return rec(f)
+        root = rec(f)
+        del rec
+        return root
 
     def shift_variables(self, f: Node, threshold: int, delta: int) -> Node:
         """Relabel every level ``>= threshold`` by ``+delta``.
@@ -412,7 +418,9 @@ class DDManager:
                 cache[key] = r
             return r
 
-        return rec(f)
+        root = rec(f)
+        del rec
+        return root
 
     def evaluate(self, f: Node, assignment: Mapping[int, int]) -> complex:
         """Value of the diagram under a level -> bit assignment.
@@ -451,6 +459,7 @@ class DDManager:
             order.append(node)
 
         visit(f)
+        del visit
         for node in order:
             if node.level == TERMINAL_LEVEL:
                 v = node.value

@@ -19,9 +19,13 @@ vector-as-matrix has all columns equal, the product overcounts by 2^n,
 which :func:`outer_product` divides back out.
 
 All operations require both operands to come from the same manager.
+Recursive helpers delete their own name once done, for the reason given
+in :mod:`quiddsim.dd`.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -118,9 +122,9 @@ class QuIDD:
         return f"<QuIDD {self.kind} n={self.n_qubits} nodes={self.node_count}>"
 
 
-def new_manager(max_qubits: int, sig_digits: int = 12) -> DDManager:
+def new_manager(max_qubits: int) -> DDManager:
     """Manager sized for matrices up to ``max_qubits`` qubits."""
-    return DDManager(2 * max_qubits, sig_digits)
+    return DDManager(2 * max_qubits)
 
 
 def _require_same_manager(a: QuIDD, b: QuIDD) -> DDManager:
@@ -171,7 +175,9 @@ def from_dense(manager: DDManager, array, kind: str | None = None) -> QuIDD:
             return mk(2 * k,
                       build_v(base + half, half, k + 1),
                       build_v(base, half, k + 1))
-        return QuIDD(manager, build_v(0, size, 0), n, VECTOR)
+        root = build_v(0, size, 0)
+        del build_v
+        return QuIDD(manager, root, n, VECTOR)
 
     def build_m(r: int, c: int, length: int, k: int) -> Node:
         if length == 1:
@@ -183,7 +189,9 @@ def from_dense(manager: DDManager, array, kind: str | None = None) -> QuIDD:
         q11 = build_m(r + half, c + half, half, k + 1)
         return mk(2 * k, mk(2 * k + 1, q11, q10), mk(2 * k + 1, q01, q00))
 
-    return QuIDD(manager, build_m(0, 0, size, 0), n, MATRIX)
+    root = build_m(0, 0, size, 0)
+    del build_m
+    return QuIDD(manager, root, n, MATRIX)
 
 
 def to_dense(q: QuIDD, cap: int = DENSE_CAP) -> np.ndarray:
@@ -204,6 +212,7 @@ def to_dense(q: QuIDD, cap: int = DENSE_CAP) -> np.ndarray:
             fill_v(_cof(node, 2 * k, 1), k + 1, base + half)
 
         fill_v(q.root, 0, 0)
+        del fill_v
         return out
 
     out = np.empty((1 << n, 1 << n), dtype=complex)
@@ -222,6 +231,7 @@ def to_dense(q: QuIDD, cap: int = DENSE_CAP) -> np.ndarray:
         fill_m(_cof(n1, lc, 1), k + 1, r + half, c + half)
 
     fill_m(q.root, 0, 0, 0)
+    del fill_m
     return out
 
 
@@ -295,25 +305,6 @@ def tensor(a: QuIDD, b: QuIDD) -> QuIDD:
     return QuIDD(mgr, root, a.n_qubits + b.n_qubits, a.kind)
 
 
-def _row_to_col(mgr: DDManager, node: Node) -> Node:
-    # Relabel every row variable to its column twin (level += 1). Only
-    # valid for vector diagrams, whose support is purely even levels.
-    if node.level == TERMINAL_LEVEL:
-        return node
-    cache = mgr._cache if mgr.memoize else None
-    if cache is not None:
-        key = ("rc", node.idx)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    r = mgr.mk_internal(node.level + 1,
-                        _row_to_col(mgr, node.hi),
-                        _row_to_col(mgr, node.lo))
-    if cache is not None:
-        cache[key] = r
-    return r
-
-
 def conj_transpose(a: QuIDD) -> QuIDD:
     """Adjoint: exchange each row variable with its column twin and
     conjugate every terminal. Self-inverse."""
@@ -347,33 +338,12 @@ def conj_transpose(a: QuIDD) -> QuIDD:
             cache[key] = r
         return r
 
-    return QuIDD(mgr, rec(a.root), a.n_qubits, MATRIX)
+    root = rec(a.root)
+    del rec
+    return QuIDD(mgr, root, a.n_qubits, MATRIX)
 
 
 # -- multiplication ---------------------------------------------------------
-
-def _scale_node(mgr: DDManager, node: Node, factor: complex) -> Node:
-    if factor == 1:
-        return node
-    cache = mgr._cache if mgr.memoize else None
-    term = mgr.terminal
-    mk = mgr.mk_internal
-
-    def rec(a: Node) -> Node:
-        if a.level == TERMINAL_LEVEL:
-            return term(a.value * factor)
-        if cache is not None:
-            key = ("sc", factor, a.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        r = mk(a.level, rec(a.hi), rec(a.lo))
-        if cache is not None:
-            cache[key] = r
-        return r
-
-    return rec(node)
-
 
 def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
     """Matrix product of two diagram operands over ``n`` qubits.
@@ -432,10 +402,12 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
             if cache is not None:
                 cache[key] = core
         if top > k:
-            return _scale_node(mgr, core, 1 << (top - k))
+            return mgr.map_terminals(core, MUL, 1 << (top - k))
         return core
 
-    return mm(a, b, 0)
+    root = mm(a, b, 0)
+    del mm
+    return root
 
 
 def matrix_multiply(a: QuIDD, b: QuIDD) -> QuIDD:
@@ -468,7 +440,8 @@ def _outer_product_raw(v: QuIDD) -> QuIDD:
     mgr = v.manager
     if v.kind != VECTOR:
         raise ValueError("outer_product expects a column vector")
-    ct = mgr.map_terminals(_row_to_col(mgr, v.root), CONJ)
+    # Row variables move to their column twins (level + 1), conjugated.
+    ct = mgr.map_terminals(mgr.shift_variables(v.root, 0, 1), CONJ)
     root = _multiply_nodes(mgr, v.root, ct, v.n_qubits)
     return QuIDD(mgr, root, v.n_qubits, MATRIX)
 
@@ -481,39 +454,20 @@ def outer_product(v: QuIDD) -> QuIDD:
     part of the operation, not a caller concern.
     """
     raw = _outer_product_raw(v)
-    root = _scale_over(raw.manager, raw.root, 1 << v.n_qubits)
+    root = raw.manager.map_terminals(raw.root, operator.truediv,
+                                     1 << v.n_qubits)
     return QuIDD(raw.manager, root, v.n_qubits, MATRIX)
-
-
-def _scale_over(mgr: DDManager, node: Node, divisor: complex) -> Node:
-    cache = mgr._cache if mgr.memoize else None
-    term = mgr.terminal
-    mk = mgr.mk_internal
-
-    def rec(a: Node) -> Node:
-        if a.level == TERMINAL_LEVEL:
-            return term(a.value / divisor)
-        if cache is not None:
-            key = ("sd", divisor, a.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        r = mk(a.level, rec(a.hi), rec(a.lo))
-        if cache is not None:
-            cache[key] = r
-        return r
-
-    return rec(node)
 
 
 def scalar_op(q: QuIDD, c: complex, op: str = "multiply") -> QuIDD:
     """Multiply or divide every entry by a scalar."""
     if op == "multiply":
-        root = _scale_node(q.manager, q.root, complex(c))
+        root = q.manager.map_terminals(q.root, MUL, complex(c))
     elif op == "divide":
         if c == 0:
             raise ZeroDivisionError("scalar division by zero")
-        root = _scale_over(q.manager, q.root, complex(c))
+        root = q.manager.map_terminals(q.root, operator.truediv,
+                                       complex(c))
     else:
         raise ValueError(f"unknown scalar op {op!r}")
     return QuIDD(q.manager, root, q.n_qubits, q.kind)
@@ -570,7 +524,9 @@ def partial_trace(rho: QuIDD, qubit: int) -> QuIDD:
             cache[key] = r
         return r
 
-    root = mgr.shift_variables(pt(rho.root), lc + 1, -2)
+    root = pt(rho.root)
+    del pt
+    root = mgr.shift_variables(root, lc + 1, -2)
     return QuIDD(mgr, root, n - 1, MATRIX)
 
 
@@ -612,4 +568,6 @@ def trace(rho: QuIDD) -> complex:
                 cache[key] = core
         return core * (1 << (top - k))
 
-    return tr(rho.root, 0)
+    value = tr(rho.root, 0)
+    del tr
+    return value

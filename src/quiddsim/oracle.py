@@ -20,6 +20,7 @@ import numpy as np
 from ._rng import XorShift64Star
 from .circuit import (
     AmplitudeInit,
+    COLLAPSE_TOL,
     AssertProb,
     BasisInit,
     Channel,
@@ -35,8 +36,8 @@ from .circuit import (
     SimulationError,
     StepStat,
     TraceAllOp,
-    _describe,
-    _format_value,
+    describe,
+    format_value,
     validate,
 )
 from .linalg import DENSE_CAP
@@ -52,8 +53,6 @@ __all__ = [
     "load_matrix",
     "format_complex",
 ]
-
-COLLAPSE_TOL = 1e-12
 
 
 class CapExceeded(Exception):
@@ -172,6 +171,7 @@ def _initial_rho(circuit: Circuit) -> np.ndarray:
 def dense_run(circuit: Circuit, seed: int = 0,
               cap: int = DENSE_CAP) -> RunResult:
     """Execute the circuit with explicit matrices; same IR, same RNG."""
+    t_start = time.perf_counter()
     validate(circuit)
     if circuit.n_qubits > cap:
         raise CapExceeded(circuit.n_qubits, cap)
@@ -181,7 +181,6 @@ def dense_run(circuit: Circuit, seed: int = 0,
     records: list[MeasurementRecord] = []
     prints: list[tuple[int, str]] = []
     steps: list[StepStat] = []
-    t_start = time.perf_counter()
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
@@ -215,7 +214,7 @@ def dense_run(circuit: Circuit, seed: int = 0,
             value = complex(np.trace(rho))
             rho = np.array([[value]], dtype=complex)
             n = 0
-            prints.append((step, f"trace_all: {_format_value(value)}"))
+            prints.append((step, f"trace_all: {format_value(value)}"))
         elif isinstance(op, AssertProb):
             p0, p1 = _diag_probs(rho, op.qubit, n)
             got = p1 if op.outcome else p0
@@ -232,12 +231,12 @@ def dense_run(circuit: Circuit, seed: int = 0,
             elif op.what == "trace":
                 prints.append(
                     (step,
-                     f"trace: {_format_value(complex(np.trace(rho)))}"))
+                     f"trace: {format_value(complex(np.trace(rho)))}"))
             else:
                 prints.append((step, "nodes: -"))
         else:
             raise SimulationError(f"unknown operation {op!r}", step)
-        steps.append(StepStat(step, _describe(op), None,
+        steps.append(StepStat(step, describe(op), None,
                               (time.perf_counter() - t0) * 1e3))
 
     stats = RunStats(

@@ -1,12 +1,16 @@
 """Circuit IR, operator embedding, channels, measurement, execution."""
 
+import gc
 import math
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from quiddsim import gates, linalg, oracle
+from quiddsim import circuit, gates, linalg, oracle
 from quiddsim._rng import XorShift64Star
+from quiddsim.bench import gen_grover
 from quiddsim.circuit import (
     AmplitudeInit,
     AssertProb,
@@ -455,6 +459,33 @@ def test_run_step_stats_and_peak():
     assert r.stats.steps[0].op == "gate h [0]"
     assert r.stats.peak_nodes >= max(st.nodes for st in r.stats.steps)
     assert r.stats.manager_nodes >= r.stats.peak_nodes
+
+
+@pytest.mark.parametrize("engine, module, builder", [
+    (run, circuit, "initial_density"),
+    (oracle.dense_run, oracle, "_initial_rho")])
+def test_run_wall_ms_covers_initial_state(engine, module, builder,
+                                          monkeypatch):
+    build = getattr(module, builder)
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(module, builder, slow_build)
+    stats = engine(Circuit(1, ops=[gates.h(0)])).stats
+    assert stats.wall_ms >= 50
+
+
+def test_run_frees_manager_without_cyclic_collector():
+    gc.disable()
+    try:
+        r = run(gen_grover(6))
+        w = weakref.ref(r.rho.manager)
+        del r
+        assert w() is None
+    finally:
+        gc.enable()
 
 
 def test_run_deterministic_for_seed():

@@ -7,6 +7,7 @@ of the reduction rules.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from quiddsim.dd import (
     support,
     var_name,
 )
+from quiddsim.linalg import QuIDD, from_dense, new_manager, to_dense
 
 
 def rand_diagram(mgr, rng, level, num_vars, stop=0.3):
@@ -72,7 +74,7 @@ def test_terminal_negative_zero_folds():
 
 
 def test_terminal_zero_floor():
-    # components below zero_eps collapse to exact zero
+    # components below ZERO_EPS collapse to exact zero
     mgr = DDManager(2)
     assert mgr.terminal(1e-13) is mgr.terminal(0.0)
     assert mgr.terminal(complex(1.0, -4e-14)) is mgr.terminal(1.0)
@@ -269,6 +271,29 @@ def test_map_terminals_can_trigger_rule2():
     assert r is mgr.terminal(0.5)  # children became equal, node collapsed
 
 
+@pytest.mark.parametrize("op, arg", [
+    (MUL, 2), (MUL, 0.5 - 1j), (operator.truediv, 4),
+    (operator.truediv, 3 + 1j)])
+def test_map_terminals_arithmetic(op, arg):
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    mgr = new_manager(3)
+    q = from_dense(mgr, m)
+    r = mgr.map_terminals(q.root, op, arg)
+    got = to_dense(QuIDD(mgr, r, q.n_qubits, q.kind))
+    assert np.allclose(got, op(to_dense(q), arg), rtol=0, atol=1e-10)
+
+
+def test_map_terminals_memoized_on_args():
+    rng = np.random.default_rng(9)
+    mgr = DDManager(4)
+    f = rand_diagram(mgr, rng, 0, 4, stop=0.0)
+    r = mgr.map_terminals(f, MUL, 3)
+    entries = len(mgr._cache)
+    assert mgr.map_terminals(f, MUL, 3) is r
+    assert len(mgr._cache) == entries  # answered from the computed table
+
+
 # -- cofactor ----------------------------------------------------------------
 
 def test_cofactor_of_terminal():
@@ -400,4 +425,3 @@ def test_node_count_in_sync_with_arena():
     mgr.terminal(5.0)
     mgr.mk_internal(0, mgr.terminal(5.0), mgr.terminal(7.0))
     assert mgr.node_count == n0 + 3
-    assert mgr.peak_node_count == mgr.node_count
