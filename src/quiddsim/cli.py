@@ -27,6 +27,9 @@ from .oracle import CapExceeded, dense_run
 __all__ = ["main"]
 
 CHECK_TOL = 1e-9
+# A circuit too wide or too unstructured for this machine ends in a
+# RecursionError or a MemoryError: a user error, not a crash.
+_RUNTIME_ERRORS = (SimulationError, CircuitError, RecursionError, MemoryError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,7 +59,11 @@ def _build_parser() -> _ArgumentParser:
                        help="write the final state diagram as DOT "
                             "(quidd engine only)")
 
-    p_bench = sub.add_parser("bench", help="run a benchmark sweep")
+    p_bench = sub.add_parser(
+        "bench", help="run a benchmark sweep",
+        description="peak_bytes is an estimate, not measured memory: "
+                    "peak_nodes * NODE_BYTES on the quidd engine, the size "
+                    "of one dense 2^n x 2^n matrix on the dense engine.")
     p_bench.add_argument("--family", choices=["grover", "rc_adder"],
                          default="grover")
     p_bench.add_argument("--n-min", type=int, default=5)
@@ -113,6 +120,12 @@ def _print_events(result: RunResult) -> None:
         print(text)
 
 
+def _runtime_error(exc: BaseException) -> None:
+    # MemoryError usually carries no message; name it instead.
+    print(f"runtime error: {str(exc) or type(exc).__name__}",
+          file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     if args.dump_dot and args.engine != "quidd":
         print("validation error: --dump-dot requires the quidd engine",
@@ -138,8 +151,8 @@ def _cmd_run(args) -> int:
     engine = run if args.engine == "quidd" else dense_run
     try:
         result = engine(circuit, seed=args.seed)
-    except (SimulationError, CircuitError, CapExceeded) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (*_RUNTIME_ERRORS, CapExceeded) as exc:
+        _runtime_error(exc)
         return 1
 
     _print_events(result)
@@ -166,8 +179,8 @@ def _cmd_run(args) -> int:
         other_engine = dense_run if args.engine == "quidd" else run
         try:
             other = other_engine(circuit, seed=args.seed)
-        except (SimulationError, CircuitError) as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
+        except _RUNTIME_ERRORS as exc:
+            _runtime_error(exc)
             return 1
         diff = float(np.abs(_final_array(result) - _final_array(other)).max())
         if diff > CHECK_TOL:
@@ -185,8 +198,8 @@ def _cmd_bench(args) -> int:
     try:
         rows = scaling_harness(args.family, range(args.n_min, args.n_max + 1),
                                engine=args.engine, seed=args.seed)
-    except (ValueError, SimulationError, CircuitError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (ValueError, *_RUNTIME_ERRORS) as exc:
+        _runtime_error(exc)
         return 1
     try:
         if args.out is None:

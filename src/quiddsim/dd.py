@@ -24,10 +24,11 @@ and level ``2k+1`` the k-th column bit (``C_k``); bit k is the k-th most
 significant index bit. This module is agnostic to that convention except
 for the ``R``/``C`` labels used in DOT output.
 
-Operations are memoized in a computed table owned by the manager. Caches
-are never invalidated (nodes are immortal); ``clear_cache`` exists for
-memory pressure and for demonstrating that memoization does not change
-results. The manager is not thread-safe; share nothing or lock externally.
+Every recursive operation caches its results in a computed table owned
+by the manager, always. Entries are never invalidated (nodes are immortal);
+``clear_cache`` drops the table to relieve memory pressure, and results
+computed afterwards are the same nodes as before. The manager is not
+thread-safe; share nothing or lock externally.
 
 Recursive walks are closures that refer to themselves, and through their
 locals to the manager. Each walk deletes its name once it returns, which
@@ -57,6 +58,7 @@ __all__ = [
     "row_var",
     "col_var",
     "var_name",
+    "iter_nodes",
     "count_nodes",
     "support",
 ]
@@ -156,7 +158,6 @@ class DDManager:
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
         self.num_vars = num_vars
-        self.memoize = True
         self._terminals: dict[tuple[str, str], Node] = {}
         self._internal: dict[tuple[int, int, int], Node] = {}
         self._nodes: list[Node] = []
@@ -255,7 +256,7 @@ class DDManager:
 
         Standard recursive apply: descend the smaller level of the two
         operands (both when equal), combine terminal values at the bottom.
-        Memoized on ``(op, f, g)``. ``ADD`` and ``MUL`` get algebraic
+        Cached on ``(op, f, g)``. ``ADD`` and ``MUL`` get algebraic
         shortcuts (0 annihilates / 1 is neutral for MUL, 0 is neutral for
         ADD); the shortcuts return identical canonical nodes to the
         un-shortcut recursion.
@@ -265,7 +266,7 @@ class DDManager:
         return self._apply(f, g, op)
 
     def _apply(self, f, g, op):
-        cache = self._cache if self.memoize else None
+        cache = self._cache
         mk = self.mk_internal
         term = self.terminal
         is_mul = op is MUL
@@ -295,11 +296,10 @@ class DDManager:
                         return a
                 elif is_add and b.value == 0:
                     return a
-            if cache is not None:
-                key = ("ap", op, a.idx, b.idx)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
+            key = ("ap", op, a.idx, b.idx)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
             if al <= bl:
                 lv, at, ae = al, a.hi, a.lo
             else:
@@ -309,8 +309,7 @@ class DDManager:
             else:
                 bt, be = b, b
             r = mk(lv, rec(at, bt), rec(ae, be))
-            if cache is not None:
-                cache[key] = r
+            cache[key] = r
             return r
 
         root = rec(f, g)
@@ -322,11 +321,11 @@ class DDManager:
         """Rebuild ``f`` with each terminal value ``v`` replaced by
         ``op(v, *args)``.
 
-        Memoized on ``(op, args)``: pass a stable callable such as ``MUL``
+        Cached on ``(op, args)``: pass a stable callable such as ``MUL``
         with its operands, not a fresh closure per call.
         """
         self._check_owned(f)
-        cache = self._cache if self.memoize else None
+        cache = self._cache
         mk = self.mk_internal
         term = self.terminal
         TL = TERMINAL_LEVEL
@@ -334,14 +333,12 @@ class DDManager:
         def rec(a):
             if a.level == TL:
                 return term(op(a.value, *args))
-            if cache is not None:
-                key = ("map", op, args, a.idx)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
+            key = ("map", op, args, a.idx)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
             r = mk(a.level, rec(a.hi), rec(a.lo))
-            if cache is not None:
-                cache[key] = r
+            cache[key] = r
             return r
 
         root = rec(f)
@@ -356,10 +353,7 @@ class DDManager:
         self._check_owned(f)
         if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
-        return self._cofactor(f, level, bit)
-
-    def _cofactor(self, f, level, bit):
-        cache = self._cache if self.memoize else None
+        cache = self._cache
         mk = self.mk_internal
 
         def rec(a):
@@ -367,14 +361,12 @@ class DDManager:
                 return a
             if a.level == level:
                 return a.hi if bit else a.lo
-            if cache is not None:
-                key = ("cof", level, bit, a.idx)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
+            key = ("cof", level, bit, a.idx)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
             r = mk(a.level, rec(a.hi), rec(a.lo))
-            if cache is not None:
-                cache[key] = r
+            cache[key] = r
             return r
 
         root = rec(f)
@@ -392,7 +384,7 @@ class DDManager:
         self._check_owned(f)
         if delta == 0:
             return f
-        cache = self._cache if self.memoize else None
+        cache = self._cache
         mk = self.mk_internal
         num_vars = self.num_vars
         TL = TERMINAL_LEVEL
@@ -400,11 +392,10 @@ class DDManager:
         def rec(a):
             if a.level == TL:
                 return a
-            if cache is not None:
-                key = ("sh", threshold, delta, a.idx)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
+            key = ("sh", threshold, delta, a.idx)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
             lv = a.level
             if lv >= threshold:
                 lv += delta
@@ -414,8 +405,7 @@ class DDManager:
                         f"outside 0..{num_vars - 1}")
             # mk_internal rejects any crossing with unshifted levels
             r = mk(lv, rec(a.hi), rec(a.lo))
-            if cache is not None:
-                cache[key] = r
+            cache[key] = r
             return r
 
         root = rec(f)
@@ -477,39 +467,12 @@ class DDManager:
         return "\n".join(lines)
 
 
-def count_nodes(f: Node) -> int:
-    """Number of distinct nodes reachable from ``f``, terminals included."""
-    seen = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node.idx in seen:
-            continue
-        seen.add(node.idx)
-        if node.level != TERMINAL_LEVEL:
-            stack.append(node.hi)
-            stack.append(node.lo)
-    return len(seen)
-
-
-def support(f: Node) -> set[int]:
-    """Set of levels actually tested anywhere in the diagram."""
-    levels: set[int] = set()
-    seen = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node.idx in seen or node.level == TERMINAL_LEVEL:
-            continue
-        seen.add(node.idx)
-        levels.add(node.level)
-        stack.append(node.hi)
-        stack.append(node.lo)
-    return levels
-
-
 def iter_nodes(f: Node) -> Iterable[Node]:
-    """Depth-first iteration over distinct reachable nodes."""
+    """Depth-first iteration over distinct reachable nodes.
+
+    The one reachability walk of the kernel; :func:`count_nodes` and
+    :func:`support` reduce over it.
+    """
     seen = set()
     stack = [f]
     while stack:
@@ -521,3 +484,13 @@ def iter_nodes(f: Node) -> Iterable[Node]:
         if node.level != TERMINAL_LEVEL:
             stack.append(node.hi)
             stack.append(node.lo)
+
+
+def count_nodes(f: Node) -> int:
+    """Number of distinct nodes reachable from ``f``, terminals included."""
+    return sum(1 for _ in iter_nodes(f))
+
+
+def support(f: Node) -> set[int]:
+    """Set of levels actually tested anywhere in the diagram."""
+    return {n.level for n in iter_nodes(f)} - {TERMINAL_LEVEL}

@@ -73,15 +73,19 @@ DENSE_CAP = 11
 
 
 class QuIDD:
-    """A diagram-backed vector or matrix over ``n_qubits`` qubits."""
+    """A diagram-backed vector or matrix over ``n_qubits`` qubits.
+
+    The constructor checks roots from outside: kind, width, owner, and a
+    walk over the levels the diagram tests. Results of the operations
+    below are well formed by construction and skip these checks.
+    """
 
     __slots__ = ("manager", "root", "n_qubits", "kind")
 
     def __init__(self, manager: DDManager, root: Node, n_qubits: int, kind: str):
         if kind not in (MATRIX, VECTOR):
             raise ValueError(f"unknown kind {kind!r}")
-        if n_qubits < 0:
-            raise ValueError("n_qubits must be >= 0")
+        _check_width(n_qubits)
         manager._check_owned(root)
         limit = 2 * n_qubits
         for level in support(root):
@@ -120,6 +124,21 @@ class QuIDD:
 
     def __repr__(self):
         return f"<QuIDD {self.kind} n={self.n_qubits} nodes={self.node_count}>"
+
+
+def _quidd(manager: DDManager, root: Node, n_qubits: int, kind: str) -> QuIDD:
+    # The constructor for results built here; see the QuIDD docstring.
+    q = object.__new__(QuIDD)
+    q.manager = manager
+    q.root = root
+    q.n_qubits = n_qubits
+    q.kind = kind
+    return q
+
+
+def _check_width(n_qubits: int) -> None:
+    if n_qubits < 0:
+        raise ValueError("n_qubits must be >= 0")
 
 
 def new_manager(max_qubits: int) -> DDManager:
@@ -177,7 +196,7 @@ def from_dense(manager: DDManager, array, kind: str | None = None) -> QuIDD:
                       build_v(base, half, k + 1))
         root = build_v(0, size, 0)
         del build_v
-        return QuIDD(manager, root, n, VECTOR)
+        return _quidd(manager, root, n, VECTOR)
 
     def build_m(r: int, c: int, length: int, k: int) -> Node:
         if length == 1:
@@ -191,7 +210,7 @@ def from_dense(manager: DDManager, array, kind: str | None = None) -> QuIDD:
 
     root = build_m(0, 0, size, 0)
     del build_m
-    return QuIDD(manager, root, n, MATRIX)
+    return _quidd(manager, root, n, MATRIX)
 
 
 def to_dense(q: QuIDD, cap: int = DENSE_CAP) -> np.ndarray:
@@ -259,6 +278,7 @@ def entry(q: QuIDD, row: int, col: int | None = None) -> complex:
 
 def identity(manager: DDManager, n: int) -> QuIDD:
     """Identity matrix on ``n`` qubits, built directly (O(n) nodes)."""
+    _check_width(n)
     node = manager.terminal(1.0)
     zero = manager.terminal(0.0)
     for k in reversed(range(n)):
@@ -266,7 +286,7 @@ def identity(manager: DDManager, n: int) -> QuIDD:
             2 * k,
             manager.mk_internal(2 * k + 1, node, zero),
             manager.mk_internal(2 * k + 1, zero, node))
-    return QuIDD(manager, node, n, MATRIX)
+    return _quidd(manager, node, n, MATRIX)
 
 
 def basis_vector(manager: DDManager, n: int, index: int) -> QuIDD:
@@ -280,12 +300,13 @@ def basis_vector(manager: DDManager, n: int, index: int) -> QuIDD:
             node = manager.mk_internal(2 * k, node, zero)
         else:
             node = manager.mk_internal(2 * k, zero, node)
-    return QuIDD(manager, node, n, VECTOR)
+    return _quidd(manager, node, n, VECTOR)
 
 
 def uniform_superposition(manager: DDManager, n: int) -> QuIDD:
     """Equal superposition over all 2^n basis states: a single terminal."""
-    return QuIDD(manager, manager.terminal(2.0 ** (-n / 2)), n, VECTOR)
+    _check_width(n)
+    return _quidd(manager, manager.terminal(2.0 ** (-n / 2)), n, VECTOR)
 
 
 # -- structural operations --------------------------------------------------
@@ -302,7 +323,7 @@ def tensor(a: QuIDD, b: QuIDD) -> QuIDD:
         raise ValueError(f"cannot tensor {a.kind} with {b.kind}")
     shifted = mgr.shift_variables(b.root, 0, 2 * a.n_qubits)
     root = mgr.apply(a.root, shifted, MUL)
-    return QuIDD(mgr, root, a.n_qubits + b.n_qubits, a.kind)
+    return _quidd(mgr, root, a.n_qubits + b.n_qubits, a.kind)
 
 
 def conj_transpose(a: QuIDD) -> QuIDD:
@@ -311,17 +332,16 @@ def conj_transpose(a: QuIDD) -> QuIDD:
     if a.kind != MATRIX:
         raise ValueError("conj_transpose expects a matrix")
     mgr = a.manager
-    cache = mgr._cache if mgr.memoize else None
+    cache = mgr._cache
     mk = mgr.mk_internal
 
     def rec(node: Node) -> Node:
         if node.level == TERMINAL_LEVEL:
             return mgr.terminal(CONJ(node.value))
-        if cache is not None:
-            key = ("ct", node.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = ("ct", node.idx)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         top = node.level // 2
         lr, lc = 2 * top, 2 * top + 1
         n0 = _cof(node, lr, 0)
@@ -334,13 +354,12 @@ def conj_transpose(a: QuIDD) -> QuIDD:
         r = mk(lr,
                mk(lc, rec(f11), rec(f01)),
                mk(lc, rec(f10), rec(f00)))
-        if cache is not None:
-            cache[key] = r
+        cache[key] = r
         return r
 
     root = rec(a.root)
     del rec
-    return QuIDD(mgr, root, a.n_qubits, MATRIX)
+    return _quidd(mgr, root, a.n_qubits, MATRIX)
 
 
 # -- multiplication ---------------------------------------------------------
@@ -352,11 +371,11 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
     the summation index. Each qubit level contributes four block sums;
     summation variables skipped by both operands double the result, which
     the factor ``2^(top-k)`` (and ``2^(n-k)`` at the terminals) accounts
-    for in one step. The block expansion itself is memoized on the
+    for in one step. The block expansion itself is cached on the
     operand pair; the skip factor is applied outside the memo so the
     cached value is position-independent.
     """
-    cache = mgr._cache if mgr.memoize else None
+    cache = mgr._cache
     term = mgr.terminal
     mk = mgr.mk_internal
     ap = mgr._apply
@@ -374,10 +393,8 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
         elif bl == TL and b.value == 0:
             return b
         top = (al if al < bl else bl) // 2
-        core = None
-        if cache is not None:
-            key = ("mm", n, a.idx, b.idx)
-            core = cache.get(key)
+        key = ("mm", n, a.idx, b.idx)
+        core = cache.get(key)
         if core is None:
             lr = 2 * top
             lc = lr + 1
@@ -399,8 +416,7 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
             c10 = ap(mm(a10, b00, k1), mm(a11, b10, k1), ADD)
             c11 = ap(mm(a10, b01, k1), mm(a11, b11, k1), ADD)
             core = mk(lr, mk(lc, c11, c10), mk(lc, c01, c00))
-            if cache is not None:
-                cache[key] = core
+            cache[key] = core
         if top > k:
             return mgr.map_terminals(core, MUL, 1 << (top - k))
         return core
@@ -417,7 +433,7 @@ def matrix_multiply(a: QuIDD, b: QuIDD) -> QuIDD:
     if a.n_qubits != b.n_qubits:
         raise ValueError("operand qubit counts differ")
     root = _multiply_nodes(mgr, a.root, b.root, a.n_qubits)
-    return QuIDD(mgr, root, a.n_qubits, MATRIX)
+    return _quidd(mgr, root, a.n_qubits, MATRIX)
 
 
 def matrix_vector(a: QuIDD, v: QuIDD) -> QuIDD:
@@ -433,7 +449,7 @@ def matrix_vector(a: QuIDD, v: QuIDD) -> QuIDD:
     if a.n_qubits != v.n_qubits:
         raise ValueError("operand qubit counts differ")
     root = _multiply_nodes(mgr, a.root, v.root, a.n_qubits)
-    return QuIDD(mgr, root, a.n_qubits, VECTOR)
+    return _quidd(mgr, root, a.n_qubits, VECTOR)
 
 
 def _outer_product_raw(v: QuIDD) -> QuIDD:
@@ -443,7 +459,7 @@ def _outer_product_raw(v: QuIDD) -> QuIDD:
     # Row variables move to their column twins (level + 1), conjugated.
     ct = mgr.map_terminals(mgr.shift_variables(v.root, 0, 1), CONJ)
     root = _multiply_nodes(mgr, v.root, ct, v.n_qubits)
-    return QuIDD(mgr, root, v.n_qubits, MATRIX)
+    return _quidd(mgr, root, v.n_qubits, MATRIX)
 
 
 def outer_product(v: QuIDD) -> QuIDD:
@@ -456,7 +472,7 @@ def outer_product(v: QuIDD) -> QuIDD:
     raw = _outer_product_raw(v)
     root = raw.manager.map_terminals(raw.root, operator.truediv,
                                      1 << v.n_qubits)
-    return QuIDD(raw.manager, root, v.n_qubits, MATRIX)
+    return _quidd(raw.manager, root, v.n_qubits, MATRIX)
 
 
 def scalar_op(q: QuIDD, c: complex, op: str = "multiply") -> QuIDD:
@@ -470,7 +486,7 @@ def scalar_op(q: QuIDD, c: complex, op: str = "multiply") -> QuIDD:
                                        complex(c))
     else:
         raise ValueError(f"unknown scalar op {op!r}")
-    return QuIDD(q.manager, root, q.n_qubits, q.kind)
+    return _quidd(q.manager, root, q.n_qubits, q.kind)
 
 
 def add(a: QuIDD, b: QuIDD) -> QuIDD:
@@ -478,7 +494,7 @@ def add(a: QuIDD, b: QuIDD) -> QuIDD:
     mgr = _require_same_manager(a, b)
     if a.kind != b.kind or a.n_qubits != b.n_qubits:
         raise ValueError("add expects operands of identical shape")
-    return QuIDD(mgr, mgr.apply(a.root, b.root, ADD), a.n_qubits, a.kind)
+    return _quidd(mgr, mgr.apply(a.root, b.root, ADD), a.n_qubits, a.kind)
 
 
 # -- trace operations -------------------------------------------------------
@@ -500,7 +516,7 @@ def partial_trace(rho: QuIDD, qubit: int) -> QuIDD:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     mgr = rho.manager
     lr, lc = 2 * qubit, 2 * qubit + 1
-    cache = mgr._cache if mgr.memoize else None
+    cache = mgr._cache
     mk = mgr.mk_internal
     ap = mgr._apply
 
@@ -509,25 +525,23 @@ def partial_trace(rho: QuIDD, qubit: int) -> QuIDD:
             # traced variables absent below this point: sum of two equal
             # cofactors, i.e. a doubling
             return ap(node, node, ADD)
-        if cache is not None:
-            key = ("pt", qubit, node.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+        key = ("pt", qubit, node.idx)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         if node.level < lr:
             r = mk(node.level, pt(node.hi), pt(node.lo))
         else:
             d1 = _cof(_cof(node, lr, 1), lc, 1)
             d0 = _cof(_cof(node, lr, 0), lc, 0)
             r = ap(d1, d0, ADD)
-        if cache is not None:
-            cache[key] = r
+        cache[key] = r
         return r
 
     root = pt(rho.root)
     del pt
     root = mgr.shift_variables(root, lc + 1, -2)
-    return QuIDD(mgr, root, n - 1, MATRIX)
+    return _quidd(mgr, root, n - 1, MATRIX)
 
 
 def partial_trace_multi(rho: QuIDD, qubits) -> QuIDD:
@@ -549,23 +563,20 @@ def trace(rho: QuIDD) -> complex:
         raise ValueError("trace expects a matrix")
     mgr = rho.manager
     n = rho.n_qubits
-    cache = mgr._cache if mgr.memoize else None
+    cache = mgr._cache
 
     def tr(node: Node, k: int) -> complex:
         if node.level == TERMINAL_LEVEL:
             return node.value * (1 << (n - k))
         top = node.level // 2
-        core = None
-        if cache is not None:
-            key = ("tr", n, node.idx)
-            core = cache.get(key)
+        key = ("tr", n, node.idx)
+        core = cache.get(key)
         if core is None:
             lr, lc = 2 * top, 2 * top + 1
             d1 = _cof(_cof(node, lr, 1), lc, 1)
             d0 = _cof(_cof(node, lr, 0), lc, 0)
             core = tr(d1, top + 1) + tr(d0, top + 1)
-            if cache is not None:
-                cache[key] = core
+            cache[key] = core
         return core * (1 << (top - k))
 
     value = tr(rho.root, 0)

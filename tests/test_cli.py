@@ -64,6 +64,31 @@ def test_run_runtime_error(tmp_path, capsys):
     assert "runtime error:" in err and "assert_prob" in err
 
 
+def test_run_too_wide_for_recursion_exits_1(tmp_path, capsys):
+    path = tmp_path / "wide.qpd"
+    path.write_text("qubits 500\nh 0\nmeasure 0\n")
+    assert main(["run", str(path)]) == 1
+    assert "runtime error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["run", "{script}"], "quiddsim.cli.run"),
+    (["run", "{script}", "--engine", "dense", "--check"], "quiddsim.cli.run"),
+    (["bench", "--n-min", "5", "--n-max", "5"],
+     "quiddsim.cli.scaling_harness"),
+])
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_out_of_resources_exits_1(argv, target, error, bell_script, capsys,
+                                  monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, exhausted)
+    argv = [a.format(script=bell_script) for a in argv]
+    assert main(argv) == 1
+    assert f"runtime error: {error.__name__}" in capsys.readouterr().err
+
+
 def test_stats_report(bell_script, tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     assert main(["run", str(bell_script), "--seed", "3",

@@ -236,18 +236,21 @@ def test_apply_rejects_foreign_nodes():
 
 
 def test_memoization_transparency():
-    rng = np.random.default_rng(8)
+    def operands(mgr):
+        rng = np.random.default_rng(8)
+        return (rand_diagram(mgr, rng, 0, 6, stop=0.2),
+                rand_diagram(mgr, rng, 0, 6, stop=0.2))
+
     mgr = DDManager(6)
-    f = rand_diagram(mgr, rng, 0, 6, stop=0.2)
-    g = rand_diagram(mgr, rng, 0, 6, stop=0.2)
-    with_memo = mgr.apply(f, g, ADD)
+    f, g = operands(mgr)
+    first = mgr.apply(f, g, ADD)
     mgr.clear_cache()
-    mgr.memoize = False
-    try:
-        without = mgr.apply(f, g, ADD)
-    finally:
-        mgr.memoize = True
-    assert with_memo is without
+    assert not mgr._cache
+    assert mgr.apply(f, g, ADD) is first  # recomputed, not looked up
+    fresh = DDManager(6)
+    other = fresh.apply(*operands(fresh), ADD)
+    for a in all_assignments(6):
+        assert mgr.evaluate(first, a) == fresh.evaluate(other, a)
 
 
 # -- map_terminals -----------------------------------------------------------

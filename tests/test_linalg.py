@@ -553,3 +553,66 @@ def test_compression_hadamard_operator_affine():
         counts.append(full.node_count)
     diffs = {b - a for a, b in zip(counts, counts[1:])}
     assert len(diffs) == 1  # affine growth
+
+
+# -- well-formed results -----------------------------------------------------
+
+OPERATIONS = (
+    "from_dense_vector", "from_dense_matrix", "identity", "basis_vector",
+    "uniform_superposition", "tensor", "conj_transpose", "matrix_multiply",
+    "matrix_vector", "outer_product", "scalar_op", "add", "partial_trace",
+    "partial_trace_multi")
+
+
+def _operation_results(mgr):
+    """One result of every public operation, built on a 3-qubit manager."""
+    rng = np.random.default_rng(41)
+    vec = from_dense(mgr, random_unit(rng, 2))
+    mat = from_dense(mgr, random_unitary(rng, 4))
+    rho = from_dense(mgr, random_density(rng, 3))
+    return {
+        "from_dense_vector": vec,
+        "from_dense_matrix": mat,
+        "identity": identity(mgr, 2),
+        "basis_vector": basis_vector(mgr, 3, 5),
+        "uniform_superposition": uniform_superposition(mgr, 3),
+        "tensor": tensor(from_dense(mgr, H2), mat),
+        "conj_transpose": conj_transpose(mat),
+        "matrix_multiply": matrix_multiply(mat, conj_transpose(mat)),
+        "matrix_vector": matrix_vector(mat, vec),
+        "outer_product": outer_product(vec),
+        "scalar_op": scalar_op(mat, 0.5j),
+        "add": add(mat, identity(mgr, 2)),
+        "partial_trace": partial_trace(rho, 1),
+        "partial_trace_multi": partial_trace_multi(rho, [0, 2]),
+    }
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_operation_results_pass_the_constructor_checks(name):
+    """Results skip the support walk, so check here that they would pass
+    it: re-wrapping through ``QuIDD`` runs every check."""
+    r = _operation_results(new_manager(3))[name]
+    assert QuIDD(r.manager, r.root, r.n_qubits, r.kind) == r
+
+
+def test_operation_results_skip_the_support_walk(monkeypatch):
+    calls = []
+
+    def counting_support(root):
+        calls.append(root)
+        return support(root)
+
+    monkeypatch.setattr(linalg, "support", counting_support)
+    mgr = new_manager(3)
+    _operation_results(mgr)
+    assert calls == []
+    QuIDD(mgr, mgr.terminal(1.0), 1, MATRIX)
+    assert len(calls) == 1  # roots from outside are still checked
+
+
+def test_constructors_reject_negative_width():
+    mgr = new_manager(1)
+    for make in (identity, uniform_superposition):
+        with pytest.raises(ValueError):
+            make(mgr, -1)
