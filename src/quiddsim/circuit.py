@@ -196,7 +196,11 @@ def validate(circuit: Circuit) -> None:
             raise CircuitError(
                 f"amplitude list has {len(init.amplitudes)} entries, "
                 f"expected {1 << n}")
-        if not np.linalg.norm(init.amplitudes) > 0:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            norm = np.linalg.norm(init.amplitudes)
+        if not np.isfinite(norm):
+            raise CircuitError("amplitude list has no finite norm")
+        if not norm > 0:
             raise CircuitError("amplitude list has zero norm")
     elif isinstance(init, MixtureInit):
         if not init.terms:
@@ -208,6 +212,8 @@ def validate(circuit: Circuit) -> None:
             if not 0 <= index < 1 << n:
                 raise CircuitError(f"mixture basis index {index} out of range")
             total += w
+        if not np.isfinite(total):
+            raise CircuitError("mixture weights have no finite sum")
         if not total > 0:
             raise CircuitError("mixture weights sum to zero")
     else:

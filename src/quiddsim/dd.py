@@ -15,7 +15,9 @@ cell per value rounded to :data:`SIG_DIGITS` significant decimal digits
 cell claims it and is stored at full double precision; later values in
 the same cell share the claimant's node. Two diagrams built through one
 manager denote the same function, up to that cell resolution, iff they
-are the same node object.
+are the same node object. A manager also maps each exact value it has
+been asked for to its node, so a repeated value skips the cell key; the
+cell's claimant never changes, so the map returns the node the key would.
 
 Variables are plain integer levels, ordered ``0 < 1 < ... < num_vars-1``
 with terminals after all variables. Matrix semantics upstream interleave
@@ -159,6 +161,7 @@ class DDManager:
             raise ValueError("num_vars must be >= 0")
         self.num_vars = num_vars
         self._terminals: dict[tuple[str, str], Node] = {}
+        self._exact: dict[complex, Node] = {}
         self._internal: dict[tuple[int, int, int], Node] = {}
         self._nodes: list[Node] = []
         self._cache: dict = {}
@@ -211,9 +214,15 @@ class DDManager:
         which rounds half to even), with absolute resolution capped at
         15 decimal places. The first value to claim a cell is the one
         stored, at full precision; later values landing in the same
-        cell share its node.
+        cell share its node. Each value asked for is remembered exactly
+        (``-0.0`` and ``0.0`` are one key, as they share a cell), and a
+        repeat returns its node without computing the key. Non-finite
+        values are never remembered and always raise ``ValueError``.
         """
         c = complex(value)
+        node = self._exact.get(c)
+        if node is not None:
+            return node
         re = self._canonical_component(c.real)
         im = self._canonical_component(c.imag)
         key = (self._key_component(re), self._key_component(im))
@@ -223,6 +232,7 @@ class DDManager:
                         len(self._nodes))
             self._nodes.append(node)
             self._terminals[key] = node
+        self._exact[c] = node
         return node
 
     def mk_internal(self, level: int, hi: Node, lo: Node) -> Node:

@@ -242,32 +242,37 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token("MINUS", None, line, col))
             i += 1
             col += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             start_col = col
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and "0" <= text[j] <= "9":
                 j += 1
             is_float = False
             if j < size and text[j] == ".":
                 is_float = True
                 j += 1
-                while j < size and text[j].isdigit():
+                while j < size and "0" <= text[j] <= "9":
                     j += 1
             if j < size and text[j] in "eE":
                 k = j + 1
                 if k < size and text[k] in "+-":
                     k += 1
-                if k >= size or not text[k].isdigit():
+                if k >= size or not "0" <= text[k] <= "9":
                     raise ParseError("malformed number", line, start_col)
                 is_float = True
                 j = k
-                while j < size and text[j].isdigit():
+                while j < size and "0" <= text[j] <= "9":
                     j += 1
             word = text[i:j]
             if is_float:
                 tokens.append(_Token("FLOAT", float(word), line, start_col))
             else:
-                tokens.append(_Token("INT", int(word), line, start_col))
+                try:
+                    value = int(word)
+                except ValueError:  # beyond sys.get_int_max_str_digits()
+                    raise ParseError("integer too long", line,
+                                     start_col) from None
+                tokens.append(_Token("INT", value, line, start_col))
             col += j - i
             i = j
         elif ch.isalpha() or ch == "_":
@@ -319,7 +324,11 @@ class _Parser:
         if tok.kind not in ("INT", "FLOAT"):
             raise ParseError(f"expected {what}", tok.line, tok.col)
         self.advance()
-        return sign * float(tok.value)
+        try:
+            return sign * float(tok.value)
+        except OverflowError:
+            raise ParseError(f"{what} out of range", tok.line,
+                             tok.col) from None
 
     def end_statement(self) -> None:
         tok = self.peek()
@@ -516,6 +525,9 @@ def validate_script(script: Script) -> None:
                         raise ScriptError(f"negative weight {w!r}",
                                           stmt.line, stmt.col)
                     total += w
+                if not np.isfinite(total):
+                    raise ScriptError("mixture weights have no finite sum",
+                                      stmt.line, stmt.col)
                 if not total > 0:
                     raise ScriptError("mixture weights sum to zero",
                                       stmt.line, stmt.col)

@@ -16,7 +16,11 @@ both operands skip a summation variable the result picks up a factor of
 two. The outer product of a column vector runs the same multiplication
 against the conjugated, column-shifted copy of the vector; because the
 vector-as-matrix has all columns equal, the product overcounts by 2^n,
-which :func:`outer_product` divides back out.
+which :func:`outer_product` divides back out. Block products with a zero
+factor and block sums with a zero product are skipped, not computed:
+the zero node times anything is the zero node, and adding it returns the
+other operand, so skipping them leaves every result node, and the order
+in which nodes are allocated, unchanged.
 
 All operations require both operands to come from the same manager.
 Recursive helpers delete their own name once done, for the reason given
@@ -374,6 +378,13 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
     for in one step. The block expansion itself is cached on the
     operand pair; the skip factor is applied outside the memo so the
     cached value is position-independent.
+
+    Zero products and zero sums are skipped, and both skips are exact. A
+    product with a zero factor is the zero node and allocates nothing,
+    and ``ADD`` with the zero node returns its other operand. So a block
+    sum with a zero factor or a zero product is its other product, and
+    the same nodes are allocated in the same order as by the unskipped
+    sums.
     """
     cache = mgr._cache
     term = mgr.terminal
@@ -399,30 +410,39 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
             lr = 2 * top
             lc = lr + 1
             k1 = top + 1
-            a0 = _cof(a, lr, 0)
-            a1 = _cof(a, lr, 1)
-            a00 = _cof(a0, lc, 0)
-            a01 = _cof(a0, lc, 1)
-            a10 = _cof(a1, lc, 0)
-            a11 = _cof(a1, lc, 1)
-            b0 = _cof(b, lr, 0)
-            b1 = _cof(b, lr, 1)
-            b00 = _cof(b0, lc, 0)
-            b01 = _cof(b0, lc, 1)
-            b10 = _cof(b1, lc, 0)
-            b11 = _cof(b1, lc, 1)
-            c00 = ap(mm(a00, b00, k1), mm(a01, b10, k1), ADD)
-            c01 = ap(mm(a00, b01, k1), mm(a01, b11, k1), ADD)
-            c10 = ap(mm(a10, b00, k1), mm(a11, b10, k1), ADD)
-            c11 = ap(mm(a10, b01, k1), mm(a11, b11, k1), ADD)
+            a0, a1 = (a.lo, a.hi) if al == lr else (a, a)
+            a00, a01 = (a0.lo, a0.hi) if a0.level == lc else (a0, a0)
+            a10, a11 = (a1.lo, a1.hi) if a1.level == lc else (a1, a1)
+            b0, b1 = (b.lo, b.hi) if bl == lr else (b, b)
+            b00, b01 = (b0.lo, b0.hi) if b0.level == lc else (b0, b0)
+            b10, b11 = (b1.lo, b1.hi) if b1.level == lc else (b1, b1)
+            c00 = block(a00, b00, a01, b10, k1)
+            c01 = block(a00, b01, a01, b11, k1)
+            c10 = block(a10, b00, a11, b10, k1)
+            c11 = block(a10, b01, a11, b11, k1)
             core = mk(lr, mk(lc, c11, c10), mk(lc, c01, c00))
             cache[key] = core
         if top > k:
             return mgr.map_terminals(core, MUL, 1 << (top - k))
         return core
 
+    def block(x0: Node, y0: Node, x1: Node, y1: Node, k: int) -> Node:
+        # x0·y0 + x1·y1. Internal nodes hold value None, so ``.value == 0``
+        # singles out the zero terminal.
+        if x0.value == 0 or y0.value == 0:
+            return mm(x1, y1, k)
+        if x1.value == 0 or y1.value == 0:
+            return mm(x0, y0, k)
+        p = mm(x0, y0, k)
+        q = mm(x1, y1, k)
+        if p.value == 0:
+            return q
+        if q.value == 0:
+            return p
+        return ap(p, q, ADD)
+
     root = mm(a, b, 0)
-    del mm
+    del mm, block
     return root
 
 

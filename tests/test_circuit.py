@@ -10,7 +10,7 @@ import pytest
 
 from quiddsim import circuit, gates, linalg, oracle
 from quiddsim._rng import XorShift64Star
-from quiddsim.bench import gen_grover
+from quiddsim.bench import gen_code_demo, gen_grover, gen_rc_adder
 from quiddsim.circuit import (
     AmplitudeInit,
     AssertProb,
@@ -279,6 +279,20 @@ def test_validate_rejects_bad_initials():
         validate(Circuit(1, initial=MixtureInit(())))
 
 
+@pytest.mark.parametrize("engine", [run, oracle.dense_run],
+                         ids=["quidd", "dense"])
+@pytest.mark.parametrize("initial", [
+    MixtureInit(((1e308, 0), (1e308, 1))),
+    MixtureInit(((math.inf, 0), (1.0, 1))),
+    AmplitudeInit((1e200, 1e200)),
+    AmplitudeInit((math.inf, 0.0)),
+], ids=["mix-overflow", "mix-inf", "amp-overflow", "amp-inf"])
+def test_run_rejects_initials_without_finite_scale(engine, initial):
+    # Normalizing by an infinite sum or norm would start from a zero state.
+    with pytest.raises(CircuitError, match="finite"):
+        engine(Circuit(1, initial=initial))
+
+
 def test_validate_tracks_width_across_ptrace():
     c = Circuit(3, ops=[PartialTraceOp(0), Measure(2, sample=False)])
     with pytest.raises(CircuitError):
@@ -486,6 +500,18 @@ def test_run_frees_manager_without_cyclic_collector():
         assert w() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("make, counts", [
+    (lambda: gen_grover(7, 5), (20853, 112)),
+    (lambda: gen_rc_adder(7, 9), (4338, 34)),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (49864, 1251)),
+], ids=["grover", "adder", "steane7"])
+def test_allocation_counts_pinned(make, counts):
+    # A kernel change that allocates other nodes, or in another number,
+    # moves these counts even when every result stays correct.
+    stats = run(make()).stats
+    assert (stats.manager_nodes, stats.peak_nodes) == counts
 
 
 def test_run_deterministic_for_seed():

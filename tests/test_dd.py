@@ -96,10 +96,33 @@ def test_terminal_absolute_resolution_floor():
 
 def test_terminal_rejects_non_finite():
     mgr = DDManager(2)
-    with pytest.raises(ValueError):
-        mgr.terminal(float("nan"))
-    with pytest.raises(ValueError):
-        mgr.terminal(complex(0.0, float("inf")))
+    for _ in range(2):  # a rejected value is not remembered either
+        with pytest.raises(ValueError):
+            mgr.terminal(float("nan"))
+        with pytest.raises(ValueError):
+            mgr.terminal(complex(0.0, float("inf")))
+
+
+def test_terminal_repeat_skips_the_key(monkeypatch):
+    mgr = DDManager(2)
+    a = mgr.terminal(0.1234567890123456 + 2j)
+    b = mgr.terminal(0.12345678901231 + 2j)  # same cell as a
+    zero = mgr.terminal(0.0)
+    keyed = []
+    key = mgr._key_component
+
+    def spy(x):
+        keyed.append(x)
+        return key(x)
+
+    monkeypatch.setattr(mgr, "_key_component", spy)
+    assert mgr.terminal(0.1234567890123456 + 2j) is a
+    assert mgr.terminal(0.12345678901231 + 2j) is a
+    assert b is a
+    assert mgr.terminal(complex(-0.0, -0.0)) is zero
+    assert keyed == []
+    assert mgr.terminal(3.0) is not a  # a new value is still keyed
+    assert len(keyed) == 2
 
 
 # -- mk_internal reduction rules ---------------------------------------------

@@ -118,6 +118,16 @@ def test_parse_number_forms():
     assert ast.statements[3].value == 1.0
 
 
+@pytest.mark.parametrize("text, position", [
+    ("qubits " + "9" * 5000, (1, 8)),  # past int()'s digit limit
+    ("qubits 1\ninit mix 1" + "0" * 400 + " |0>", (2, 10)),  # past float
+], ids=["long-int", "int-weight"])
+def test_parse_numbers_out_of_range(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == position
+
+
 # -- interpret ---------------------------------------------------------------
 
 def test_interpret_bell():

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from quiddsim import linalg, oracle
-from quiddsim.dd import ADD, count_nodes, support
+from quiddsim import gates, linalg, oracle
+from quiddsim.circuit import build_operator
+from quiddsim.dd import ADD, TERMINAL_LEVEL, count_nodes, support
 from quiddsim.linalg import (
     MATRIX,
     VECTOR,
@@ -272,13 +273,62 @@ def test_hadamard_squares_to_identity():
     assert matrix_multiply(h, h).root is i1.root
 
 
-def test_multiply_random_matches_oracle():
+# A zeroed 2x2 block of either operand, in every position, makes a zero
+# factor in the block sums of the multiply; ("cancel", k) sets the k-th
+# product of a block sum to zero although neither factor is.
+ZEROED_BLOCKS = [None, ("cancel", 0), ("cancel", 1)] + [
+    (operand, r, c) for operand in "ab" for r in range(4) for c in range(4)]
+
+
+@pytest.mark.parametrize(
+    "zeroed", ZEROED_BLOCKS,
+    ids=lambda z: "-".join(map(str, z)) if z else "dense")
+def test_multiply_random_matches_oracle(zeroed):
     rng = np.random.default_rng(26)
     mgr = new_manager(3)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    if zeroed is not None and zeroed[0] == "cancel":
+        k = 2 * zeroed[1]
+        a[:2, k:k + 2] = 1
+        b[k:k + 2, :2] = [[1, -1], [-1, 1]]
+    elif zeroed is not None:
+        operand, r, c = zeroed
+        (a if operand == "a" else b)[2 * r:2 * r + 2, 2 * c:2 * c + 2] = 0
     got = to_dense(matrix_multiply(from_dense(mgr, a), from_dense(mgr, b)))
     assert np.max(np.abs(got - oracle.dense_multiply(a, b))) <= 1e-9
+
+
+def test_multiply_skips_sums_with_zero(monkeypatch):
+    # A gate operator is mostly zero blocks; none of them may reach ADD.
+    rng = np.random.default_rng(4)
+    mgr = new_manager(4)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho_dense = m @ m.conj().T
+    rho_dense /= np.trace(rho_dense)
+    rho = from_dense(mgr, rho_dense)
+    # The Hadamard adds sums of two nonzero products for the spy to see.
+    ops = [build_operator(mgr, g, 4) for g in (gates.cnot(1, 3), gates.h(2))]
+    daggers = [conj_transpose(u) for u in ops]
+    operands = []
+    apply = mgr._apply
+
+    def spy(f, g, op):
+        operands.extend((f, g))
+        return apply(f, g, op)
+
+    monkeypatch.setattr(mgr, "_apply", spy)
+    got = rho
+    for u, u_dag in zip(ops, daggers):
+        got = matrix_multiply(matrix_multiply(u, got), u_dag)
+    assert operands
+    assert not [x for x in operands
+                if x.level == TERMINAL_LEVEL and x.value == 0]
+    want = rho_dense
+    for u in ops:
+        u_dense = to_dense(u)
+        want = u_dense @ want @ u_dense.conj().T
+    assert np.max(np.abs(to_dense(got) - want)) <= 1e-12
 
 
 def test_multiply_validation():
