@@ -22,13 +22,14 @@ it, and never materializes anything exponential for structured gates.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import dd, linalg
 from ._rng import XorShift64Star
 from .dd import ADD, MUL, DDManager, count_nodes
 from .gates import Channel, Gate
@@ -61,10 +62,16 @@ __all__ = [
     "describe",
     "format_value",
     "COLLAPSE_TOL",
+    "MAX_QUBITS",
 ]
 
 # Outcome probabilities at or below this cannot be collapsed onto.
 COLLAPSE_TOL = 1e-12
+# Widest circuit accepted. The recursive walks descend two levels per
+# qubit; under Python's default recursion limit of 1000 a gate, a
+# channel, a measurement and a partial trace still run at 480 qubits and
+# fail at 500. This leaves room for the callers' own stack frames.
+MAX_QUBITS = 400
 
 
 class CircuitError(Exception):
@@ -182,11 +189,25 @@ def _check_qubit(q: int, n: int, what: str, step: int) -> None:
             f"step {step}: {what} qubit {q} out of range for {n} qubit(s)")
 
 
+def _finite(value, kind, convert, what: str):
+    """``convert(value)``, if ``value`` is a ``kind`` number in float
+    range."""
+    if isinstance(value, kind):
+        try:
+            return convert(value)
+        except OverflowError:
+            pass
+    # No repr: a huge int has more digits than str() may print.
+    raise CircuitError(f"{what} is not a finite number")
+
+
 def validate(circuit: Circuit) -> None:
     """Static checks; simulates the width changes from partial traces."""
     n = circuit.n_qubits
     if n < 1:
         raise CircuitError("circuit needs at least one qubit")
+    if n > MAX_QUBITS:
+        raise CircuitError(f"circuit has more than {MAX_QUBITS} qubits")
     init = circuit.initial
     if isinstance(init, BasisInit):
         if not 0 <= init.index < 1 << n:
@@ -196,8 +217,10 @@ def validate(circuit: Circuit) -> None:
             raise CircuitError(
                 f"amplitude list has {len(init.amplitudes)} entries, "
                 f"expected {1 << n}")
+        amps = [_finite(a, numbers.Complex, complex, "amplitude")
+                for a in init.amplitudes]
         with np.errstate(over="ignore"):  # an overflow is reported below
-            norm = np.linalg.norm(init.amplitudes)
+            norm = np.linalg.norm(amps)
         if not np.isfinite(norm):
             raise CircuitError("amplitude list has no finite norm")
         if not norm > 0:
@@ -207,6 +230,7 @@ def validate(circuit: Circuit) -> None:
             raise CircuitError("mixture needs at least one term")
         total = 0.0
         for w, index in init.terms:
+            w = _finite(w, numbers.Real, float, "mixture weight")
             if w < 0:
                 raise CircuitError(f"negative mixture weight {w}")
             if not 0 <= index < 1 << n:
@@ -436,8 +460,22 @@ def initial_density(mgr: DDManager, circuit: Circuit) -> QuIDD:
     raise CircuitError(f"unknown initial state {init!r}")
 
 
+def _roots(rho: QuIDD, op_cache: dict):
+    """Roots a run still needs: the state and every cached operator."""
+    yield rho.root
+    for built in op_cache.values():
+        for op in built if isinstance(built, list) else (built,):
+            yield op.root
+
+
 def run(circuit: Circuit, seed: int = 0) -> RunResult:
-    """Execute on the diagram engine. Deterministic for a given seed."""
+    """Execute on the diagram engine. Deterministic for a given seed.
+
+    Between steps the manager collects the nodes that neither the state
+    nor a cached operator reaches, once its unique table holds more than
+    ``max(dd.FLOOR, dd.K * kept)`` nodes (``kept``: the nodes the last
+    collection kept). Collection never changes a result.
+    """
     t_start = time.perf_counter()
     validate(circuit)
     mgr = new_manager(circuit.n_qubits)
@@ -448,6 +486,7 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     steps: list[StepStat] = []
     op_cache: dict = {}
     peak = count_nodes(rho.root)
+    kept = 0  # nodes kept by the last collection
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
@@ -508,6 +547,8 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
             raise
         except (CircuitError, ValueError) as exc:
             raise SimulationError(str(exc), step) from exc
+        if mgr.table_size > max(dd.FLOOR, dd.K * kept):
+            kept = mgr.collect(_roots(rho, op_cache))
         nodes = count_nodes(rho.root)
         peak = max(peak, nodes)
         steps.append(StepStat(step, describe(op), nodes,

@@ -27,9 +27,13 @@ significant index bit. This module is agnostic to that convention except
 for the ``R``/``C`` labels used in DOT output.
 
 Every recursive operation caches its results in a computed table owned
-by the manager, always. Entries are never invalidated (nodes are immortal);
-``clear_cache`` drops the table to relieve memory pressure, and results
-computed afterwards are the same nodes as before. The manager is not
+by the manager, always. ``collect(roots)`` drops every internal node not
+reachable from ``roots`` from the unique table, together with the whole
+computed table; a dropped node is foreign to the manager from then on.
+Terminals are never collected, so every value keeps the cell claimant it
+had, and a result computed again after a collection has the same
+structure and the same terminal nodes as the one dropped; a kept result
+is the same node. A node's ``idx`` is never reused. The manager is not
 thread-safe; share nothing or lock externally.
 
 Recursive walks are closures that refer to themselves, and through their
@@ -54,6 +58,8 @@ __all__ = [
     "TERMINAL_LEVEL",
     "SIG_DIGITS",
     "ZERO_EPS",
+    "FLOOR",
+    "K",
     "ADD",
     "MUL",
     "CONJ",
@@ -81,6 +87,12 @@ ZERO_EPS = 1e-12
 # Below this magnitude keys switch to fixed point (see _key_component).
 _ABS_CUTOFF = 10.0 ** (SIG_DIGITS - 16)
 _KEY_SPEC = f".{SIG_DIGITS - 1}e"
+# A run collects once its unique table holds more than
+# max(FLOOR, K * nodes kept by the last collection) nodes. The floor
+# keeps small circuits from collecting at all; the factor bounds the
+# work of a collection by a constant share of the allocations before it.
+FLOOR = 2**14
+K = 4
 
 # Stable callables for the common terminal operations. Using module-level
 # objects keeps computed-table keys valid for the life of the manager.
@@ -163,24 +175,47 @@ class DDManager:
         self._terminals: dict[tuple[str, str], Node] = {}
         self._exact: dict[complex, Node] = {}
         self._internal: dict[tuple[int, int, int], Node] = {}
-        self._nodes: list[Node] = []
         self._cache: dict = {}
+        self._allocated = 0
 
     # -- node accounting ----------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        """Number of live nodes. Nodes are never collected, so this is
-        also the peak."""
-        return len(self._nodes)
+        """Number of nodes allocated over the manager's life, collected
+        ones included."""
+        return self._allocated
 
-    def clear_cache(self) -> None:
-        """Drop the computed table. Does not affect nodes or canonicity."""
+    @property
+    def table_size(self) -> int:
+        """Number of nodes the unique tables hold, terminals included."""
+        return len(self._terminals) + len(self._internal)
+
+    def collect(self, roots: Iterable[Node]) -> int:
+        """Keep every terminal and every internal node reachable from
+        ``roots``; drop every other node and the computed table.
+
+        Returns the number of nodes kept. Nodes held elsewhere but not
+        reachable from ``roots`` become foreign to the manager.
+        """
+        seen: set[int] = set()
+        internal = {}
+        for root in roots:
+            self._check_owned(root)
+            for n in iter_nodes(root, seen):
+                if n.level != TERMINAL_LEVEL:
+                    internal[n.level, n.hi.idx, n.lo.idx] = n
+        self._internal = internal
         self._cache.clear()
+        return self.table_size
 
     def _owns(self, node: Node) -> bool:
-        idx = node.idx
-        return 0 <= idx < len(self._nodes) and self._nodes[idx] is node
+        if node.level == TERMINAL_LEVEL:
+            v = node.value
+            key = (self._key_component(v.real), self._key_component(v.imag))
+            return self._terminals.get(key) is node
+        key = (node.level, node.hi.idx, node.lo.idx)
+        return self._internal.get(key) is node
 
     def _check_owned(self, node: Node) -> None:
         if not self._owns(node):
@@ -229,8 +264,8 @@ class DDManager:
         node = self._terminals.get(key)
         if node is None:
             node = Node(TERMINAL_LEVEL, None, None, complex(re, im),
-                        len(self._nodes))
-            self._nodes.append(node)
+                        self._allocated)
+            self._allocated += 1
             self._terminals[key] = node
         self._exact[c] = node
         return node
@@ -254,8 +289,8 @@ class DDManager:
         key = (level, hi.idx, lo.idx)
         node = self._internal.get(key)
         if node is None:
-            node = Node(level, hi, lo, None, len(self._nodes))
-            self._nodes.append(node)
+            node = Node(level, hi, lo, None, self._allocated)
+            self._allocated += 1
             self._internal[key] = node
         return node
 
@@ -477,13 +512,16 @@ class DDManager:
         return "\n".join(lines)
 
 
-def iter_nodes(f: Node) -> Iterable[Node]:
+def iter_nodes(f: Node, seen: set[int] | None = None) -> Iterable[Node]:
     """Depth-first iteration over distinct reachable nodes.
 
-    The one reachability walk of the kernel; :func:`count_nodes` and
-    :func:`support` reduce over it.
+    The one reachability walk of the kernel; :func:`count_nodes`,
+    :func:`support` and :meth:`DDManager.collect` reduce over it. Nodes
+    whose ``idx`` is in ``seen`` are skipped, and every node visited is
+    added to it, so walks that share ``seen`` visit each node once.
     """
-    seen = set()
+    if seen is None:
+        seen = set()
     stack = [f]
     while stack:
         node = stack.pop()

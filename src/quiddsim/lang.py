@@ -34,6 +34,7 @@ import numpy as np
 
 from . import gates as _g
 from .circuit import (
+    MAX_QUBITS,
     AssertProb,
     BasisInit,
     Circuit,
@@ -495,6 +496,9 @@ def validate_script(script: Script) -> None:
     head = stmts[0]
     if head.count < 1:
         raise ScriptError("qubit count must be positive", head.line, head.col)
+    if head.count > MAX_QUBITS:
+        raise ScriptError(f"qubit count above the maximum of {MAX_QUBITS}",
+                          head.line, head.col)
     n = head.count
 
     def check_wire(q: int, stmt, what: str = "qubit") -> None:

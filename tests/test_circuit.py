@@ -2,16 +2,18 @@
 
 import gc
 import math
+import sys
 import time
 import weakref
 
 import numpy as np
 import pytest
 
-from quiddsim import circuit, gates, linalg, oracle
+from quiddsim import circuit, dd, gates, linalg, oracle
 from quiddsim._rng import XorShift64Star
 from quiddsim.bench import gen_code_demo, gen_grover, gen_rc_adder
 from quiddsim.circuit import (
+    MAX_QUBITS,
     AmplitudeInit,
     AssertProb,
     BasisInit,
@@ -286,11 +288,35 @@ def test_validate_rejects_bad_initials():
     MixtureInit(((math.inf, 0), (1.0, 1))),
     AmplitudeInit((1e200, 1e200)),
     AmplitudeInit((math.inf, 0.0)),
-], ids=["mix-overflow", "mix-inf", "amp-overflow", "amp-inf"])
+    MixtureInit(((10**400, 0), (1, 1))),
+    AmplitudeInit((10**400, 0)),
+    MixtureInit((("a", 0), (1, 1))),
+    AmplitudeInit(("a", 0)),
+], ids=["mix-overflow", "mix-inf", "amp-overflow", "amp-inf",
+        "mix-int-overflow", "amp-int-overflow", "mix-not-number",
+        "amp-not-number"])
 def test_run_rejects_initials_without_finite_scale(engine, initial):
     # Normalizing by an infinite sum or norm would start from a zero state.
     with pytest.raises(CircuitError, match="finite"):
         engine(Circuit(1, initial=initial))
+
+
+@pytest.mark.parametrize("engine", [run, oracle.dense_run],
+                         ids=["quidd", "dense"])
+def test_run_rejects_too_many_qubits(engine):
+    with pytest.raises(CircuitError, match=str(MAX_QUBITS)):
+        engine(Circuit(MAX_QUBITS + 1, ops=[gates.h(0)]))
+
+
+def test_run_at_max_qubits():
+    n = MAX_QUBITS
+    c = Circuit(n, ops=[gates.h(0), gates.cnot(0, n - 1),
+                        gates.bit_flip(n - 1, 0.25), Measure(n - 1),
+                        PartialTraceOp(0), Measure(n - 2)])
+    r = run(c)
+    assert r.rho.n_qubits == n - 1
+    for rec in r.records:
+        assert (rec.p0, rec.p1) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_validate_tracks_width_across_ptrace():
@@ -502,14 +528,19 @@ def test_run_frees_manager_without_cyclic_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("make, counts", [
-    (lambda: gen_grover(7, 5), (20853, 112)),
-    (lambda: gen_rc_adder(7, 9), (4338, 34)),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (49864, 1251)),
-], ids=["grover", "adder", "steane7"])
-def test_allocation_counts_pinned(make, counts):
+@pytest.mark.parametrize("make, counts, collect", [
+    (lambda: gen_grover(7, 5), (20853, 112), False),
+    (lambda: gen_rc_adder(7, 9), (4338, 34), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (49864, 1251), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (53101, 1251), True),
+], ids=["grover", "adder", "steane7", "steane7-collecting"])
+def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
     # A kernel change that allocates other nodes, or in another number,
-    # moves these counts even when every result stays correct.
+    # moves these counts even when every result stays correct. Without
+    # collection the kernel allocates what it always did; a collection
+    # drops computed results that may then be allocated again.
+    if not collect:
+        monkeypatch.setattr(dd, "FLOOR", sys.maxsize)
     stats = run(make()).stats
     assert (stats.manager_nodes, stats.peak_nodes) == counts
 

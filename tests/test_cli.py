@@ -68,7 +68,7 @@ def test_run_too_wide_for_recursion_exits_1(tmp_path, capsys):
     path = tmp_path / "wide.qpd"
     path.write_text("qubits 500\nh 0\nmeasure 0\n")
     assert main(["run", str(path)]) == 1
-    assert "runtime error:" in capsys.readouterr().err
+    assert "validation error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, target", [

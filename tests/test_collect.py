@@ -1,0 +1,99 @@
+"""Collection of dead nodes between the steps of a run.
+
+A run that collects after every step must give the same results, bit for
+bit, as one that never collects: terminals are never collected, so every
+value keeps its cell claimant. Node numbering and allocation counts are
+the only things a collection may change.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_circuit
+from quiddsim import circuit, dd
+from quiddsim.bench import gen_grover
+from quiddsim.circuit import Measure, PartialTraceOp, PrintOp, TraceAllOp, run
+from quiddsim.dd import DDManager
+from quiddsim.lang import interpret, parse
+from quiddsim.linalg import to_dense
+
+SCRIPTS = sorted((pathlib.Path(__file__).parent / "scripts").glob("*.qpd"))
+
+
+def observe(c, seed, collect: bool):
+    """What a run reports, and how often it collected. ``collect``
+    collects after every step; otherwise the run never collects."""
+    calls = []
+    real = DDManager.collect
+
+    def counted(self, roots):
+        calls.append(None)
+        return real(self, roots)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DDManager, "collect", counted)
+        mp.setattr(dd, "FLOOR", 0 if collect else sys.maxsize)
+        mp.setattr(dd, "K", 0)
+        r = run(c, seed=seed)
+    seen = (to_dense(r.rho).tobytes(), r.records, r.stats.prints,
+            [s.nodes for s in r.stats.steps])
+    return seen, len(calls)
+
+
+def assert_exact(c, seed):
+    always, collections = observe(c, seed, collect=True)
+    never, none = observe(c, seed, collect=False)
+    assert (collections, none) == (len(c.ops), 0)
+    assert always == never
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_collection_is_exact_on_scripts(script, seed):
+    assert_exact(interpret(parse(script.read_text())), seed)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       depth=st.integers(0, 8))
+def test_collection_is_exact_on_generated_circuits(seed, n, depth):
+    """Gates, channels and measurements, a partial trace, more of them
+    on the narrower state, probes, then a trace over every wire."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, depth)
+    c.ops.append(PartialTraceOp(int(rng.integers(0, n))))
+    c.ops += random_circuit(rng, n - 1, depth).ops
+    c.ops += [Measure(0, sample=True), PrintOp("probs", 0), PrintOp("trace"),
+              PrintOp("nodes"), TraceAllOp(), PrintOp("trace")]
+    assert_exact(c, seed)
+
+
+def test_unique_table_stays_bounded(monkeypatch):
+    managers, kept, checks = [], [0], []
+    new_manager, collect, count_nodes = (
+        circuit.new_manager, DDManager.collect, circuit.count_nodes)
+
+    def recorded(n):
+        managers.append(new_manager(n))
+        return managers[-1]
+
+    def collecting(self, roots):
+        kept.append(collect(self, roots))
+        return kept[-1]
+
+    def counting(root):  # run counts the state's nodes after every step
+        checks.append((managers[0].table_size,
+                       max(dd.FLOOR, dd.K * kept[-1])))
+        return count_nodes(root)
+
+    monkeypatch.setattr(circuit, "new_manager", recorded)
+    monkeypatch.setattr(DDManager, "collect", collecting)
+    monkeypatch.setattr(circuit, "count_nodes", counting)
+    stats = run(gen_grover(10)).stats
+    assert len(kept) > 2  # it collected more than once
+    assert all(size <= bound for size, bound in checks)
+    assert max(size for size, _ in checks) < stats.manager_nodes / 4

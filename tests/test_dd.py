@@ -267,13 +267,52 @@ def test_memoization_transparency():
     mgr = DDManager(6)
     f, g = operands(mgr)
     first = mgr.apply(f, g, ADD)
-    mgr.clear_cache()
+    mgr.collect([f, g, first])  # keeps all three, empties the cache
     assert not mgr._cache
     assert mgr.apply(f, g, ADD) is first  # recomputed, not looked up
     fresh = DDManager(6)
     other = fresh.apply(*operands(fresh), ADD)
     for a in all_assignments(6):
         assert mgr.evaluate(first, a) == fresh.evaluate(other, a)
+
+
+# -- collect -----------------------------------------------------------------
+
+def test_collect_drops_unreachable_nodes():
+    mgr = DDManager(4)
+    one, two, three = (mgr.terminal(v) for v in (1.0, 2.0, 3.0))
+    inner = mgr.mk_internal(1, one, two)
+    kept = mgr.mk_internal(0, inner, three)
+    dropped = mgr.mk_internal(2, three, one)
+    mgr.apply(kept, dropped, ADD)
+    assert mgr._cache
+    allocated = mgr.node_count
+    kept_count = len(mgr._terminals) + 2  # inner and kept
+    assert mgr.collect([kept]) == mgr.table_size == kept_count
+    assert not mgr._cache
+    assert mgr.node_count == allocated  # counts allocations, not live nodes
+    assert mgr.mk_internal(1, one, two) is inner
+    with pytest.raises(DDError):
+        mgr.apply(kept, dropped, ADD)
+    assert mgr.apply(kept, one, MUL) is kept
+    again = mgr.mk_internal(2, three, one)
+    assert again is not dropped
+    assert again.idx == allocated  # a dropped idx is never reused
+
+
+def test_collect_keeps_every_terminal():
+    mgr = DDManager(2)
+    lone = mgr.terminal(0.25)
+    mgr.collect([])
+    assert mgr.terminal(0.25) is lone
+    assert mgr.terminal(0.25 + 1e-14) is lone  # the cell keeps its claimant
+    assert mgr.apply(lone, lone, ADD) is mgr.terminal(0.5)
+
+
+def test_collect_rejects_foreign_roots():
+    m1, m2 = DDManager(2), DDManager(2)
+    with pytest.raises(DDError):
+        m1.collect([m2.mk_internal(0, m2.terminal(1.0), m2.terminal(0.0))])
 
 
 # -- map_terminals -----------------------------------------------------------
