@@ -74,16 +74,21 @@ COLLAPSE_TOL = 1e-12
 MAX_QUBITS = 400
 
 
-class CircuitError(Exception):
-    """Structurally invalid circuit (bad ranges, shapes, weights)."""
-
-
-class SimulationError(Exception):
-    """Runtime failure at a specific step (first failure aborts)."""
+class _StepError(Exception):
+    """An error that may belong to one step; ``str()`` leads with it."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message if step is None else f"step {step}: {message}")
+        self.message = message
         self.step = step
+
+
+class CircuitError(_StepError):
+    """Structurally invalid circuit (bad ranges, shapes, weights)."""
+
+
+class SimulationError(_StepError):
+    """Runtime failure at a specific step (first failure aborts)."""
 
 
 # -- initial states ---------------------------------------------------------
@@ -185,8 +190,8 @@ class RunResult:
 
 def _check_qubit(q: int, n: int, what: str, step: int) -> None:
     if not 0 <= q < n:
-        raise CircuitError(
-            f"step {step}: {what} qubit {q} out of range for {n} qubit(s)")
+        raise CircuitError(f"{what} qubit {q} out of range for {n} qubit(s)",
+                           step)
 
 
 def _finite(value, kind, convert, what: str):
@@ -259,19 +264,19 @@ def validate(circuit: Circuit) -> None:
         elif isinstance(op, AssertProb):
             _check_qubit(op.qubit, n, "assert_prob", step)
             if op.outcome not in (0, 1):
-                raise CircuitError(f"step {step}: outcome must be 0 or 1")
+                raise CircuitError("outcome must be 0 or 1", step)
             if not 0.0 <= op.value <= 1.0:
                 raise CircuitError(
-                    f"step {step}: probability {op.value} outside [0, 1]")
+                    f"probability {op.value} outside [0, 1]", step)
             if op.tol < 0:
-                raise CircuitError(f"step {step}: negative tolerance")
+                raise CircuitError("negative tolerance", step)
         elif isinstance(op, PrintOp):
             if op.what not in ("probs", "trace", "nodes"):
-                raise CircuitError(f"step {step}: unknown print {op.what!r}")
+                raise CircuitError(f"unknown print {op.what!r}", step)
             if op.what == "probs":
                 _check_qubit(op.qubit, n, "print probs", step)
         else:
-            raise CircuitError(f"step {step}: unknown operation {op!r}")
+            raise CircuitError(f"unknown operation {op!r}", step)
 
 
 # -- operator construction --------------------------------------------------

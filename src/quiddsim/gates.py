@@ -7,14 +7,15 @@ the first target most significant. Channels are Kraus-operator lists over
 their targets; the built-in bit/phase flip channels are just convenience
 constructors for the corresponding two-operator sets.
 
-Validation happens at construction: payloads must be unitary within
-1e-9 (channels: the completeness sum within 1e-9), target and control
-sets must be disjoint and duplicate-free. Qubit range checks against a
-concrete circuit width happen later, at circuit validation.
+Validation happens at construction: payloads must be finite and
+unitary within 1e-9 (channels: the completeness sum within 1e-9), target
+and control sets must be disjoint and duplicate-free. Qubit range checks
+against a concrete circuit width happen later, at circuit validation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,15 @@ _SWAP = np.array(
      [0, 0, 0, 1]], dtype=complex)
 
 
-def _check_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> None:
-    dim = matrix.shape[0]
-    if matrix.shape != (dim, dim) or dim & (dim - 1):
-        raise ValueError(f"payload shape {matrix.shape} is not square 2^k")
-    err = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
-    if err > tol:
-        raise ValueError(f"payload is not unitary (deviation {err:.3g})")
+def _identity_deviation(matrices) -> float:
+    """Largest entry of ``|sum(k^H k) - I|``: the deviation of a payload
+    from unitarity, or of a Kraus set from completeness. A non-finite
+    entry, or a product beyond float range, makes it ``inf``; numpy's
+    warnings about them are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(k.conj().T @ k for k in matrices)
+        err = float(np.abs(total - np.eye(len(total))).max())
+    return err if math.isfinite(err) else math.inf
 
 
 @dataclass(eq=False)
@@ -97,7 +100,9 @@ class Gate:
             raise ValueError(
                 f"payload {self.matrix.shape} does not match "
                 f"{len(self.targets)} target(s)")
-        _check_unitary(self.matrix)
+        err = _identity_deviation([self.matrix])
+        if err > UNITARY_TOL:
+            raise ValueError(f"payload is not unitary (deviation {err:.3g})")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -129,14 +134,12 @@ class Channel:
         if not self.kraus:
             raise ValueError("channel needs at least one Kraus operator")
         dim = 1 << len(self.targets)
-        total = np.zeros((dim, dim), dtype=complex)
         for k in self.kraus:
             if k.shape != (dim, dim):
                 raise ValueError(
                     f"Kraus operator shape {k.shape} does not match "
                     f"{len(self.targets)} target(s)")
-            total += k.conj().T @ k
-        err = np.abs(total - np.eye(dim)).max()
+        err = _identity_deviation(self.kraus)
         if err > UNITARY_TOL:
             raise ValueError(
                 f"Kraus operators are not trace-preserving "

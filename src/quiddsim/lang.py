@@ -22,8 +22,16 @@ significant index bit. ``u1 q`` takes eight numbers: the 2x2 payload in
 row-major order, real part before imaginary part. ``cu`` wraps one plain
 gate clause and adds controls; ``-q`` in the bracket list fires on |0>.
 After ``ptrace q`` all later qubit references use the renumbered wires
-(everything above ``q`` drops by one). Parse and validation errors carry
-1-based line:column positions.
+(everything above ``q`` drops by one).
+
+A number literal beyond float range is a :class:`ParseError`. The script
+has three rules of its own: ``qubits`` comes first and once, ``init``
+directly after it, and kets are as wide as the circuit. Every other rule
+(widths, wire ranges and overlaps, unitarity, weights, probabilities) is
+the circuit IR's; :func:`interpret` reports its fault as a
+:class:`ScriptError` at the statement that lowered the faulty part, and
+the first fault in source order wins. Both errors carry 1-based
+line:column positions.
 """
 
 from __future__ import annotations
@@ -34,15 +42,16 @@ import numpy as np
 
 from . import gates as _g
 from .circuit import (
-    MAX_QUBITS,
     AssertProb,
     BasisInit,
     Circuit,
+    CircuitError,
     Measure,
     MixtureInit,
     PartialTraceOp,
     PrintOp,
     TraceAllOp,
+    validate,
 )
 from .gates import Channel, Gate
 
@@ -266,7 +275,10 @@ def _lex(text: str) -> list[_Token]:
                     j += 1
             word = text[i:j]
             if is_float:
-                tokens.append(_Token("FLOAT", float(word), line, start_col))
+                value = float(word)
+                if value == float("inf"):
+                    raise ParseError("number out of range", line, start_col)
+                tokens.append(_Token("FLOAT", value, line, start_col))
             else:
                 try:
                     value = int(word)
@@ -467,7 +479,7 @@ def parse(text: str) -> Script:
     return _Parser(_lex(text)).parse_script()
 
 
-# -- validation -------------------------------------------------------------
+# -- interpretation ---------------------------------------------------------
 
 def _u1_matrix(stmt: U1Stmt) -> np.ndarray:
     e = stmt.entries
@@ -476,128 +488,16 @@ def _u1_matrix(stmt: U1Stmt) -> np.ndarray:
          [complex(e[4], e[5]), complex(e[6], e[7])]])
 
 
-def _gate_wires(stmt) -> list[int]:
-    if isinstance(stmt, U1Stmt):
-        return [stmt.qubit]
-    return list(stmt.qubits)
+def _lower_init(stmt, n: int):
+    kets = [stmt.bits] if isinstance(stmt, InitKet) else [
+        b for _, b in stmt.terms]
+    for bits in kets:
+        if len(bits) != n:
+            raise ValueError(f"ket |{bits}> has {len(bits)} bits, expected {n}")
+    if isinstance(stmt, InitKet):
+        return BasisInit(int(stmt.bits, 2))
+    return MixtureInit(tuple((w, int(bits, 2)) for w, bits in stmt.terms))
 
-
-def validate_script(script: Script) -> None:
-    """Static checks with positions: structure, ranges, unitarity.
-
-    Width changes from ptrace/trace_all are simulated so that later
-    statements are checked against the renumbered wires.
-    """
-    stmts = script.statements
-    if not stmts or not isinstance(stmts[0], QubitsStmt):
-        line = stmts[0].line if stmts else 1
-        col = stmts[0].col if stmts else 1
-        raise ScriptError("script must start with 'qubits N'", line, col)
-    head = stmts[0]
-    if head.count < 1:
-        raise ScriptError("qubit count must be positive", head.line, head.col)
-    if head.count > MAX_QUBITS:
-        raise ScriptError(f"qubit count above the maximum of {MAX_QUBITS}",
-                          head.line, head.col)
-    n = head.count
-
-    def check_wire(q: int, stmt, what: str = "qubit") -> None:
-        if not 0 <= q < n:
-            raise ScriptError(
-                f"{what} {q} out of range (current width {n})",
-                stmt.line, stmt.col)
-
-    for i, stmt in enumerate(stmts[1:], start=1):
-        if isinstance(stmt, QubitsStmt):
-            raise ScriptError("duplicate qubits statement",
-                              stmt.line, stmt.col)
-        if isinstance(stmt, (InitKet, InitMix)):
-            if i != 1:
-                raise ScriptError("init must come directly after qubits",
-                                  stmt.line, stmt.col)
-            kets = [stmt.bits] if isinstance(stmt, InitKet) else [
-                b for _, b in stmt.terms]
-            for bits in kets:
-                if len(bits) != n:
-                    raise ScriptError(
-                        f"ket |{bits}> has {len(bits)} bits, expected {n}",
-                        stmt.line, stmt.col)
-            if isinstance(stmt, InitMix):
-                total = 0.0
-                for w, _ in stmt.terms:
-                    if w < 0:
-                        raise ScriptError(f"negative weight {w!r}",
-                                          stmt.line, stmt.col)
-                    total += w
-                if not np.isfinite(total):
-                    raise ScriptError("mixture weights have no finite sum",
-                                      stmt.line, stmt.col)
-                if not total > 0:
-                    raise ScriptError("mixture weights sum to zero",
-                                      stmt.line, stmt.col)
-        elif isinstance(stmt, SimpleGate):
-            wires = list(stmt.qubits)
-            if len(set(wires)) != len(wires):
-                raise ScriptError("repeated qubit in gate",
-                                  stmt.line, stmt.col)
-            for q in wires:
-                check_wire(q, stmt)
-        elif isinstance(stmt, U1Stmt):
-            check_wire(stmt.qubit, stmt)
-            m = _u1_matrix(stmt)
-            err = np.abs(m.conj().T @ m - np.eye(2)).max()
-            if err > _g.UNITARY_TOL:
-                raise ScriptError(
-                    f"matrix is not unitary (deviation {err:.3g})",
-                    stmt.line, stmt.col)
-        elif isinstance(stmt, CuStmt):
-            inner_wires = _gate_wires(stmt.inner)
-            control_wires = [q for q, _ in stmt.controls]
-            all_wires = control_wires + inner_wires
-            if len(set(all_wires)) != len(all_wires):
-                raise ScriptError("control and target qubits overlap",
-                                  stmt.line, stmt.col)
-            for q in all_wires:
-                check_wire(q, stmt)
-            if isinstance(stmt.inner, U1Stmt):
-                m = _u1_matrix(stmt.inner)
-                err = np.abs(m.conj().T @ m - np.eye(2)).max()
-                if err > _g.UNITARY_TOL:
-                    raise ScriptError(
-                        f"matrix is not unitary (deviation {err:.3g})",
-                        stmt.inner.line, stmt.inner.col)
-        elif isinstance(stmt, ChannelStmt):
-            check_wire(stmt.qubit, stmt)
-            if not 0.0 <= stmt.p <= 1.0:
-                raise ScriptError(f"probability {stmt.p!r} outside [0, 1]",
-                                  stmt.line, stmt.col)
-        elif isinstance(stmt, MeasureStmt):
-            check_wire(stmt.qubit, stmt)
-        elif isinstance(stmt, PtraceStmt):
-            check_wire(stmt.qubit, stmt)
-            n -= 1
-        elif isinstance(stmt, TraceAllStmt):
-            n = 0
-        elif isinstance(stmt, PrintStmt):
-            if stmt.what == "probs":
-                check_wire(stmt.qubit, stmt)
-        elif isinstance(stmt, AssertProbStmt):
-            check_wire(stmt.qubit, stmt)
-            if stmt.outcome not in (0, 1):
-                raise ScriptError("outcome must be 0 or 1",
-                                  stmt.line, stmt.col)
-            if not 0.0 <= stmt.value <= 1.0:
-                raise ScriptError(
-                    f"probability {stmt.value!r} outside [0, 1]",
-                    stmt.line, stmt.col)
-            if stmt.tol < 0:
-                raise ScriptError("negative tolerance", stmt.line, stmt.col)
-        else:
-            raise ScriptError(f"unexpected statement {stmt!r}",
-                              stmt.line, stmt.col)
-
-
-# -- interpretation ---------------------------------------------------------
 
 def _lower_gate(stmt) -> Gate:
     if isinstance(stmt, U1Stmt):
@@ -610,41 +510,89 @@ def _lower_gate(stmt) -> Gate:
         return _g.toffoli(*stmt.qubits)
     if stmt.name == "swap":
         return _g.swap(*stmt.qubits)
-    raise ScriptError(f"unknown gate {stmt.name!r}", stmt.line, stmt.col)
+    raise ValueError(f"unknown gate {stmt.name!r}")
+
+
+def _lower_op(stmt):
+    if isinstance(stmt, (SimpleGate, U1Stmt)):
+        return _lower_gate(stmt)
+    if isinstance(stmt, CuStmt):
+        return _g.controlled(_lower_gate(stmt.inner), stmt.controls)
+    if isinstance(stmt, ChannelStmt):
+        maker = _g.bit_flip if stmt.kind == "bitflip" else _g.phase_flip
+        return maker(stmt.qubit, stmt.p)
+    if isinstance(stmt, MeasureStmt):
+        return Measure(stmt.qubit, stmt.sample)
+    if isinstance(stmt, PtraceStmt):
+        return PartialTraceOp(stmt.qubit)
+    if isinstance(stmt, TraceAllStmt):
+        return TraceAllOp()
+    if isinstance(stmt, PrintStmt):
+        return PrintOp(stmt.what, stmt.qubit)
+    if isinstance(stmt, AssertProbStmt):
+        return AssertProb(stmt.qubit, stmt.outcome, stmt.value, stmt.tol)
+    raise ValueError(f"unexpected statement {stmt!r}")
 
 
 def interpret(script: Script) -> Circuit:
-    """Lower a validated AST to the circuit IR."""
-    validate_script(script)
+    """Lower an AST to the circuit IR in one pass; raises
+    :class:`ScriptError` at the first faulty statement.
+
+    Only the script's own rules are checked here: ``qubits`` comes first
+    and once, ``init`` directly after it, and kets are as wide as the
+    circuit. Every other rule is the IR's (:func:`circuit.validate` and
+    the gate and channel constructors); its fault is reported at the
+    statement that lowered the faulty part. Before a statement's own
+    fault is reported, what was lowered ahead of it is validated, so the
+    first fault in source order wins.
+    """
     stmts = script.statements
-    n = stmts[0].count
-    circuit = Circuit(n)
-    for stmt in stmts[1:]:
-        if isinstance(stmt, InitKet):
-            circuit.initial = BasisInit(int(stmt.bits, 2))
-        elif isinstance(stmt, InitMix):
-            circuit.initial = MixtureInit(
-                tuple((w, int(bits, 2)) for w, bits in stmt.terms))
-        elif isinstance(stmt, (SimpleGate, U1Stmt)):
-            circuit.ops.append(_lower_gate(stmt))
-        elif isinstance(stmt, CuStmt):
-            circuit.ops.append(
-                _g.controlled(_lower_gate(stmt.inner), stmt.controls))
-        elif isinstance(stmt, ChannelStmt):
-            maker = _g.bit_flip if stmt.kind == "bitflip" else _g.phase_flip
-            circuit.ops.append(maker(stmt.qubit, stmt.p))
-        elif isinstance(stmt, MeasureStmt):
-            circuit.ops.append(Measure(stmt.qubit, stmt.sample))
-        elif isinstance(stmt, PtraceStmt):
-            circuit.ops.append(PartialTraceOp(stmt.qubit))
-        elif isinstance(stmt, TraceAllStmt):
-            circuit.ops.append(TraceAllOp())
-        elif isinstance(stmt, PrintStmt):
-            circuit.ops.append(PrintOp(stmt.what, stmt.qubit))
-        elif isinstance(stmt, AssertProbStmt):
-            circuit.ops.append(
-                AssertProb(stmt.qubit, stmt.outcome, stmt.value, stmt.tol))
+    if not stmts or not isinstance(stmts[0], QubitsStmt):
+        line, col = (stmts[0].line, stmts[0].col) if stmts else (1, 1)
+        raise ScriptError("script must start with 'qubits N'", line, col)
+    circuit = Circuit(stmts[0].count)
+    at: list = []  # the statement that lowered each step
+    header = stmts[0]  # where a fault outside the steps lies
+
+    def check() -> None:
+        try:
+            validate(circuit)
+        except CircuitError as exc:
+            stmt = header if exc.step is None else at[exc.step]
+            raise ScriptError(exc.message, stmt.line, stmt.col) from None
+
+    check()  # the width, before an init takes over ``header``
+    for i, stmt in enumerate(stmts[1:], start=1):
+        where = stmt
+        try:
+            if isinstance(stmt, QubitsStmt):
+                raise ValueError("duplicate qubits statement")
+            if isinstance(stmt, (InitKet, InitMix)):
+                if i != 1:
+                    raise ValueError("init must come directly after qubits")
+                circuit.initial = _lower_init(stmt, circuit.n_qubits)
+                header = stmt
+                continue
+            at.append(stmt)
+            if isinstance(stmt, CuStmt) and isinstance(stmt.inner, U1Stmt):
+                # The cu's own wire faults come before those of its u1
+                # payload: lower it on an identity payload first.
+                circuit.ops.append(_g.controlled(
+                    _g.u1(stmt.inner.qubit, np.eye(2)), stmt.controls))
+                where = stmt.inner
+                circuit.ops[-1] = _lower_op(stmt)
+            else:
+                circuit.ops.append(_lower_op(stmt))
+        except ValueError as exc:
+            check()  # an earlier fault wins
+            raise ScriptError(str(exc), where.line, where.col) from None
+    check()
     return circuit
+
+
+def validate_script(script: Script) -> None:
+    """:func:`interpret` with the circuit dropped."""
+    interpret(script)
 
 
 # -- pretty printing --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Gate/channel construction and validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,28 @@ def test_u1_rejects_non_unitary():
         gates.u1(0, np.array([[1, 0], [0, 2]]))
     with pytest.raises(ValueError):
         gates.u1(0, np.ones((2, 3)))
+
+
+NON_FINITE = [
+    np.array([[math.nan, 0], [0, 1]]),
+    np.array([[math.inf, 0], [0, 1]]),
+    # finite, but the products overflow to inf and then to nan
+    np.array([[1e200, 1e200], [1e200, -1e200]]),
+]
+MAKERS = {
+    "u1": lambda m: gates.u1(0, m),
+    "controlled": lambda m: Gate("u", (1,), m, ((0, 1),)),
+    "kraus": lambda m: gates.kraus_channel((0,), [m]),
+}
+
+
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=["nan", "inf", "huge"])
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+def test_non_finite_payloads_are_rejected_without_warning(make, matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="deviation inf"):
+            make(matrix)
 
 
 def test_gate_overlap_validation():

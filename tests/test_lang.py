@@ -121,7 +121,9 @@ def test_parse_number_forms():
 @pytest.mark.parametrize("text, position", [
     ("qubits " + "9" * 5000, (1, 8)),  # past int()'s digit limit
     ("qubits 1\ninit mix 1" + "0" * 400 + " |0>", (2, 10)),  # past float
-], ids=["long-int", "int-weight"])
+    ("qubits 1\nassert_prob 0 0 0.5 1e400\n", (2, 21)),
+    ("qubits 1\nbitflip 0 -1.8e308\n", (2, 12)),
+], ids=["long-int", "int-weight", "float-literal", "negative-float"])
 def test_parse_numbers_out_of_range(text, position):
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -178,6 +180,28 @@ def test_validate_script_reports_inner_u1():
     with pytest.raises(ScriptError) as err:
         validate_script(parse(text))
     assert "unitary" in err.value.message
+    assert (err.value.line, err.value.col) == (2, 10)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("qubits 2\nx 5\nqubits 2\n", (2, 1)),
+    ("qubits 2\nh 9\nbitflip 0 1.5\n", (2, 1)),
+    ("qubits 1\ninit mix -1 |0>\nh 0\ninit |0>\n", (2, 1)),
+    ("qubits 401\nbitflip 0 1.5\n", (1, 1)),
+    ("qubits 401\ninit |" + "0" * 401 + ">\n", (1, 1)),
+    # a cu's own wire faults, at the cu, come before its u1's payload
+    ("qubits 2\ncu [ 5 ] u1 0 1 0 0 0 0 0 0 0\n", (2, 1)),
+    ("qubits 2\ncu [ 0 ] u1 0 1 0 0 0 0 0 0 0\n", (2, 1)),
+    ("qubits 2\nptrace 0\ncu [ 1 ] u1 0 1 0 0 0 0 0 0 0\n", (3, 1)),
+], ids=["range-then-duplicate-qubits", "range-then-bad-probability",
+        "weight-then-late-init", "width-then-bad-probability",
+        "width-with-a-ket-as-wide",
+        "cu-range-around-bad-u1", "cu-overlap-around-bad-u1",
+        "cu-range-after-ptrace"])
+def test_first_fault_in_source_order_wins(text, position):
+    with pytest.raises(ScriptError) as err:
+        interpret(parse(text))
+    assert (err.value.line, err.value.col) == position
 
 
 # -- exporting circuits ------------------------------------------------------

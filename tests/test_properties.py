@@ -1,4 +1,5 @@
-"""Property tests over generated circuits and generated script text.
+"""Property tests over generated circuits, generated script text and
+generated ASTs.
 
 Hypothesis draws the circuit shape and the seed of ``random_circuit``.
 The settings are fixed (derandomized, no example database) so that a
@@ -11,7 +12,26 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_circuit, random_unitary
 from quiddsim import gates
 from quiddsim.circuit import apply_gate, build_operator, run
-from quiddsim.lang import ParseError, ScriptError, parse, validate_script
+from quiddsim.lang import (
+    AssertProbStmt,
+    ChannelStmt,
+    CuStmt,
+    InitKet,
+    InitMix,
+    MeasureStmt,
+    ParseError,
+    PrintStmt,
+    PtraceStmt,
+    QubitsStmt,
+    Script,
+    ScriptError,
+    SimpleGate,
+    TraceAllStmt,
+    U1Stmt,
+    parse,
+    pretty,
+    validate_script,
+)
 from quiddsim.linalg import partial_trace, to_dense
 
 FIXED = settings(max_examples=50, deadline=None, derandomize=True,
@@ -104,3 +124,47 @@ def test_any_text_ends_in_parse_or_script_error(text):
         validate_script(parse(text))
     except (ParseError, ScriptError):
         pass
+
+
+# Every statement kind, whatever its values mean: the printer and the
+# parser must agree on text that validation would refuse, too.
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False,
+                    allow_subnormal=True)
+_WIRE = st.integers(0, 2**20)
+_BITS = st.text("01", min_size=1, max_size=6)
+_GATE_CLAUSE = st.one_of(
+    st.builds(SimpleGate, st.sampled_from("hxyzst"), st.tuples(_WIRE)),
+    st.builds(SimpleGate, st.sampled_from(["cnot", "swap"]),
+              st.tuples(_WIRE, _WIRE)),
+    st.builds(SimpleGate, st.just("toffoli"), st.tuples(_WIRE, _WIRE, _WIRE)),
+    st.builds(U1Stmt, _WIRE, st.tuples(*[_NUMBER] * 8)),
+)
+_STATEMENT = st.one_of(
+    st.builds(QubitsStmt, _WIRE),
+    st.builds(InitKet, _BITS),
+    st.builds(InitMix, st.lists(st.tuples(_NUMBER, _BITS), min_size=1,
+                                max_size=3).map(tuple)),
+    _GATE_CLAUSE,
+    st.builds(CuStmt, st.lists(st.tuples(_WIRE, st.integers(0, 1)),
+                               min_size=1, max_size=3).map(tuple),
+              _GATE_CLAUSE),
+    st.builds(ChannelStmt, st.sampled_from(["bitflip", "phaseflip"]), _WIRE,
+              _NUMBER),
+    st.builds(MeasureStmt, _WIRE, st.booleans()),
+    st.builds(PtraceStmt, _WIRE),
+    st.builds(TraceAllStmt),
+    st.builds(PrintStmt, st.just("probs"), _WIRE),
+    st.builds(PrintStmt, st.sampled_from(["trace", "nodes"])),
+    st.builds(AssertProbStmt, _WIRE, _WIRE, _NUMBER, _NUMBER),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(statements=st.lists(_STATEMENT, max_size=12))
+def test_generated_asts_round_trip_through_pretty(statements):
+    """The printed form of any AST parses back to an equal AST, and
+    printing that gives the same text."""
+    ast = Script(statements)
+    text = pretty(ast)
+    assert parse(text) == ast
+    assert pretty(parse(text)) == text
