@@ -76,14 +76,13 @@ from .circuit import (
     run,
     validate,
 )
-from .oracle import CapExceeded, dense_run, load_matrix, save_matrix
+from .oracle import CapExceeded, dense_run
 from .lang import (
     ParseError,
     ScriptError,
     interpret,
     parse,
     pretty,
-    script_from_circuit,
     validate_script,
 )
 from .bench import (
@@ -118,10 +117,10 @@ __all__ = [
     "run", "RunResult", "RunStats", "MeasurementRecord", "CircuitError",
     "SimulationError", "build_operator", "measure_prob", "collapse",
     # reference engine
-    "dense_run", "CapExceeded", "save_matrix", "load_matrix",
+    "dense_run", "CapExceeded",
     # language
-    "parse", "validate_script", "interpret", "pretty",
-    "script_from_circuit", "ParseError", "ScriptError",
+    "parse", "validate_script", "interpret", "pretty", "ParseError",
+    "ScriptError",
     # benchmarks
     "gen_grover", "gen_rc_adder", "gen_code_demo", "gen_bb84",
     "grover_iterations", "grover_success_probability", "scaling_harness",

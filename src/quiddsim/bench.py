@@ -27,7 +27,6 @@ import numpy as np
 from . import gates as _g
 from .circuit import AssertProb, Circuit, Measure, PartialTraceOp, run
 from .gates import Channel, Gate
-from .linalg import DENSE_CAP
 from .oracle import CapExceeded, dense_run
 
 __all__ = [
@@ -330,10 +329,6 @@ def scaling_harness(family: str, n_range, engine: str = "quidd",
     for n in n_range:
         circuit = _build(family, n)
         gates = _gate_count(circuit)
-        if engine == "dense" and circuit.n_qubits > DENSE_CAP:
-            rows.append(BenchRow(n, gates, engine, None, None, None,
-                                 status="OVER-CAP"))
-            continue
         if engine == "quidd":
             result = run(circuit, seed=seed)
             peak = result.stats.peak_nodes

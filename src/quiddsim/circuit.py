@@ -548,8 +548,10 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
                     prints.append((step, f"nodes: {count_nodes(rho.root)}"))
             else:
                 raise SimulationError(f"unknown operation {op!r}", step)
-        except SimulationError:
-            raise
+        except SimulationError as exc:
+            if exc.step is not None:
+                raise
+            raise SimulationError(exc.message, step) from exc
         except (CircuitError, ValueError) as exc:
             raise SimulationError(str(exc), step) from exc
         if mgr.table_size > max(dd.FLOOR, dd.K * kept):

@@ -21,7 +21,7 @@ import numpy as np
 from .bench import scaling_harness, write_csv, write_json
 from .circuit import CircuitError, RunResult, SimulationError, run
 from .lang import ParseError, ScriptError, interpret, parse
-from .linalg import DENSE_CAP, QuIDD
+from .linalg import QuIDD, to_dense
 from .oracle import CapExceeded, dense_run
 
 __all__ = ["main"]
@@ -80,7 +80,7 @@ def _build_parser() -> _ArgumentParser:
 def _final_array(result: RunResult) -> np.ndarray:
     rho = result.rho
     if isinstance(rho, QuIDD):
-        return rho.to_dense()
+        return to_dense(rho)
     return np.asarray(rho)
 
 
@@ -172,13 +172,13 @@ def _cmd_run(args) -> int:
         return 1
 
     if args.check:
-        if circuit.n_qubits > DENSE_CAP:
-            print(f"check skipped: {circuit.n_qubits} qubits exceeds the "
-                  f"dense cap of {DENSE_CAP}")
-            return 0
         other_engine = dense_run if args.engine == "quidd" else run
         try:
             other = other_engine(circuit, seed=args.seed)
+        except CapExceeded as exc:
+            print(f"check skipped: {exc.n} qubits exceeds the "
+                  f"dense cap of {exc.cap}")
+            return 0
         except _RUNTIME_ERRORS as exc:
             _runtime_error(exc)
             return 1

@@ -53,7 +53,7 @@ from .circuit import (
     TraceAllOp,
     validate,
 )
-from .gates import Channel, Gate
+from .gates import Gate
 
 __all__ = [
     "ParseError",
@@ -63,7 +63,6 @@ __all__ = [
     "validate_script",
     "interpret",
     "pretty",
-    "script_from_circuit",
 ]
 
 _SIMPLE_GATES = ("h", "x", "y", "z", "s", "t")
@@ -650,68 +649,3 @@ def pretty(script: Script) -> str:
         else:
             raise ValueError(f"cannot print {stmt!r}")
     return "\n".join(lines) + "\n"
-
-
-# -- exporting circuits back to source --------------------------------------
-
-def _gate_to_stmt(op: Gate):
-    if not op.controls:
-        if op.name in _SIMPLE_GATES and len(op.targets) == 1:
-            return SimpleGate(op.name, op.targets)
-        if op.name == "swap":
-            return SimpleGate("swap", op.targets)
-        if len(op.targets) == 1:
-            m = op.matrix
-            entries = (m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-                       m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag)
-            return U1Stmt(op.targets[0], entries)
-        raise ValueError(f"gate {op!r} has no script form")
-    if op.name == "x" and len(op.targets) == 1:
-        if len(op.controls) == 1 and op.controls[0][1] == 1:
-            return SimpleGate("cnot", (op.controls[0][0], op.targets[0]))
-        if len(op.controls) == 2 and all(p == 1 for _, p in op.controls):
-            return SimpleGate(
-                "toffoli",
-                (op.controls[0][0], op.controls[1][0], op.targets[0]))
-    bare = Gate(op.name, op.targets, op.matrix)
-    return CuStmt(op.controls, _gate_to_stmt(bare))
-
-
-def script_from_circuit(circuit: Circuit) -> str:
-    """Source text reproducing a circuit built in Python.
-
-    Works for everything the grammar can say; circuits with amplitude
-    initial states or raw Kraus channels have no script form and raise.
-    """
-    stmts: list = [QubitsStmt(circuit.n_qubits)]
-    init = circuit.initial
-    if isinstance(init, BasisInit):
-        if init.index != 0:
-            stmts.append(InitKet(format(init.index, f"0{circuit.n_qubits}b")))
-    elif isinstance(init, MixtureInit):
-        stmts.append(InitMix(tuple(
-            (w, format(index, f"0{circuit.n_qubits}b"))
-            for w, index in init.terms)))
-    else:
-        raise ValueError(f"initial state {init!r} has no script form")
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            stmts.append(_gate_to_stmt(op))
-        elif isinstance(op, Channel):
-            if op.kind not in ("bitflip", "phaseflip") or op.p is None:
-                raise ValueError(f"channel {op!r} has no script form")
-            stmts.append(ChannelStmt(op.kind, op.targets[0], op.p))
-        elif isinstance(op, Measure):
-            stmts.append(MeasureStmt(op.qubit, op.sample))
-        elif isinstance(op, PartialTraceOp):
-            stmts.append(PtraceStmt(op.qubit))
-        elif isinstance(op, TraceAllOp):
-            stmts.append(TraceAllStmt())
-        elif isinstance(op, PrintOp):
-            stmts.append(PrintStmt(op.what, op.qubit))
-        elif isinstance(op, AssertProb):
-            stmts.append(
-                AssertProbStmt(op.qubit, op.outcome, op.value, op.tol))
-        else:
-            raise ValueError(f"operation {op!r} has no script form")
-    return pretty(Script(stmts))

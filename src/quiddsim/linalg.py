@@ -108,12 +108,6 @@ class QuIDD:
     def node_count(self) -> int:
         return count_nodes(self.root)
 
-    def to_dense(self, cap: int = DENSE_CAP) -> np.ndarray:
-        return to_dense(self, cap)
-
-    def entry(self, row: int, col: int | None = None) -> complex:
-        return entry(self, row, col)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QuIDD)
@@ -217,11 +211,11 @@ def from_dense(manager: DDManager, array, kind: str | None = None) -> QuIDD:
     return _quidd(manager, root, n, MATRIX)
 
 
-def to_dense(q: QuIDD, cap: int = DENSE_CAP) -> np.ndarray:
-    """Explicit numpy form of ``q``; refuses more than ``cap`` qubits."""
-    if q.n_qubits > cap:
+def to_dense(q: QuIDD) -> np.ndarray:
+    """Explicit numpy form of ``q``; refuses more than ``DENSE_CAP`` qubits."""
+    if q.n_qubits > DENSE_CAP:
         raise ValueError(
-            f"{q.n_qubits} qubits exceeds the dense cap of {cap}")
+            f"{q.n_qubits} qubits exceeds the dense cap of {DENSE_CAP}")
     n = q.n_qubits
     if q.kind == VECTOR:
         out = np.empty(1 << n, dtype=complex)

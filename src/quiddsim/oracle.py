@@ -49,9 +49,6 @@ __all__ = [
     "dense_multiply",
     "dense_outer",
     "dense_ptrace",
-    "save_matrix",
-    "load_matrix",
-    "format_complex",
 ]
 
 
@@ -168,13 +165,16 @@ def _initial_rho(circuit: Circuit) -> np.ndarray:
     raise ValueError(f"unknown initial state {init!r}")
 
 
-def dense_run(circuit: Circuit, seed: int = 0,
-              cap: int = DENSE_CAP) -> RunResult:
-    """Execute the circuit with explicit matrices; same IR, same RNG."""
+def dense_run(circuit: Circuit, seed: int = 0) -> RunResult:
+    """Execute the circuit with explicit matrices; same IR, same RNG.
+
+    Raises :class:`CapExceeded` for circuits wider than
+    :data:`DENSE_CAP` qubits.
+    """
     t_start = time.perf_counter()
     validate(circuit)
-    if circuit.n_qubits > cap:
-        raise CapExceeded(circuit.n_qubits, cap)
+    if circuit.n_qubits > DENSE_CAP:
+        raise CapExceeded(circuit.n_qubits, DENSE_CAP)
     n = circuit.n_qubits
     rng = XorShift64Star(seed)
     rho = _initial_rho(circuit)
@@ -250,56 +250,3 @@ def dense_run(circuit: Circuit, seed: int = 0,
         manager_nodes=None,
     )
     return RunResult(rho, records, stats)
-
-
-# -- text fixture format ----------------------------------------------------
-
-def format_complex(v: complex) -> str:
-    """``re+imi`` notation used by the matrix fixture files."""
-    return f"{v.real:.17g}{v.imag:+.17g}i"
-
-
-def _parse_complex(token: str, lineno: int) -> complex:
-    if not token.endswith("i"):
-        raise ValueError(f"line {lineno}: entry {token!r} does not end in 'i'")
-    try:
-        return complex(token[:-1].replace("i", "j") + "j")
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad entry {token!r}") from None
-
-
-def save_matrix(path, matrix: np.ndarray) -> None:
-    """Write ``n=<qubits>`` then 2^n rows of whitespace-separated entries."""
-    m = np.asarray(matrix, dtype=complex)
-    dim = m.shape[0]
-    n = dim.bit_length() - 1
-    if m.shape != (dim, dim) or dim != 1 << n:
-        raise ValueError(f"bad matrix shape {m.shape}")
-    with open(path, "w") as fh:
-        fh.write(f"n={n}\n")
-        for row in m:
-            fh.write(" ".join(format_complex(v) for v in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise ValueError("first line must be n=<qubits>")
-        try:
-            n = int(header[2:])
-        except ValueError:
-            raise ValueError(f"bad qubit count {header[2:]!r}") from None
-        dim = 1 << n
-        out = np.empty((dim, dim), dtype=complex)
-        for r in range(dim):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"expected {dim} rows, got {r}")
-            tokens = line.split()
-            if len(tokens) != dim:
-                raise ValueError(
-                    f"line {r + 2}: expected {dim} entries, got {len(tokens)}")
-            for c, token in enumerate(tokens):
-                out[r, c] = _parse_complex(token, r + 2)
-    return out

@@ -554,7 +554,50 @@ def test_run_deterministic_for_seed():
 
 
 def test_run_wraps_errors_with_step():
-    # collapse onto an impossible branch surfaces as SimulationError
+    # a failed assert_prob surfaces as SimulationError at its step
     c = Circuit(1, ops=[AssertProb(0, 1, 1.0, 1e-12)])
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError) as err:
         run(c)
+    assert err.value.step == 0
+
+
+@pytest.mark.parametrize("engine", [run, oracle.dense_run],
+                         ids=["quidd", "dense"])
+def test_failed_collapse_reports_its_step(engine, monkeypatch):
+    # Both outcomes have probability 0.5; with the tolerance above that,
+    # the sampled collapse fails, and both engines name step 2.
+    monkeypatch.setattr(circuit, "COLLAPSE_TOL", 0.6)
+    monkeypatch.setattr(oracle, "COLLAPSE_TOL", 0.6)
+    c = Circuit(1, ops=[gates.h(0), gates.x(0), Measure(0, sample=True)])
+    with pytest.raises(SimulationError) as err:
+        engine(c, seed=1)
+    assert err.value.step == 2
+    assert str(err.value) == ("step 2: collapse onto outcome 0 of qubit 0 "
+                              "has probability 0.5")
+
+
+@pytest.mark.parametrize("weight", [1e-13, 5e-13, 1e-12, 2e-12])
+def test_tiny_mixture_weights_agree_across_engines(weight):
+    # Weights around ZERO_EPS: the diagram engine may round a term to zero
+    # where the dense engine keeps it, but samples and states must agree.
+    c = Circuit(2, initial=MixtureInit(((1.0, 0b00), (weight, 0b11))),
+                ops=[gates.h(0), Measure(0, sample=True), gates.cnot(0, 1),
+                     Measure(1, sample=False)])
+    for seed in range(10):
+        mine = run(c, seed=seed)
+        ref = oracle.dense_run(c, seed=seed)
+        assert [r.outcome for r in mine.records] == \
+            [r.outcome for r in ref.records], f"seed {seed}"
+        for a, b in zip(mine.records, ref.records):
+            assert abs(a.p0 - b.p0) <= 1e-9 and abs(a.p1 - b.p1) <= 1e-9
+        assert np.max(np.abs(to_dense(mine.rho) - ref.rho)) <= 1e-9
+
+
+@pytest.mark.parametrize("engine", [run, oracle.dense_run],
+                         ids=["quidd", "dense"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_pmeasure_never_collapses_onto_probability_zero(engine, bit):
+    c = Circuit(1, initial=BasisInit(bit), ops=[Measure(0, sample=True)])
+    for seed in range(50):
+        (record,) = engine(c, seed=seed).records
+        assert record.outcome == bit, f"seed {seed}"

@@ -8,7 +8,6 @@ import pytest
 
 from quiddsim import gates
 from quiddsim.circuit import (
-    AmplitudeInit,
     AssertProb,
     BasisInit,
     Circuit,
@@ -26,7 +25,6 @@ from quiddsim.lang import (
     interpret,
     parse,
     pretty,
-    script_from_circuit,
     validate_script,
 )
 
@@ -204,13 +202,31 @@ def test_first_fault_in_source_order_wins(text, position):
     assert (err.value.line, err.value.col) == position
 
 
-# -- exporting circuits ------------------------------------------------------
+# -- lowering ----------------------------------------------------------------
 
 def _op_key(op):
     return op.key() if hasattr(op, "key") else op
 
 
-def test_script_from_circuit_round_trip():
+def test_interpret_lowers_every_statement_kind():
+    text = """qubits 3
+init mix 0.5 |001> 0.5 |110>
+h 0
+cnot 0 1
+toffoli 0 1 2
+swap 1 2
+cu [-0, 1] z 2
+u1 1 1.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0
+bitflip 2 0.25
+phaseflip 0 0.0
+measure 0
+pmeasure 1
+print probs 2
+print trace
+assert_prob 2 0 0.5 0.5
+ptrace 2
+trace_all
+"""
     c = Circuit(3, initial=MixtureInit(((0.5, 1), (0.5, 6))))
     c.ops = [
         gates.h(0),
@@ -229,25 +245,10 @@ def test_script_from_circuit_round_trip():
         PartialTraceOp(2),
         TraceAllOp(),
     ]
-    text = script_from_circuit(c)
-    back = interpret(parse(text))
-    assert back.n_qubits == c.n_qubits
-    assert back.initial == c.initial
-    assert [_op_key(op) for op in back.ops] == [_op_key(op) for op in c.ops]
-
-
-def test_script_from_circuit_default_init_is_implicit():
-    text = script_from_circuit(Circuit(2, ops=[gates.h(0)]))
-    assert text == "qubits 2\nh 0\n"
-
-
-def test_script_from_circuit_rejects_unrepresentable():
-    with pytest.raises(ValueError):
-        script_from_circuit(Circuit(1, initial=AmplitudeInit((1.0, 0.0))))
-    k = [np.array([[1, 0], [0, 0]]), np.array([[0, 0], [0, 1]])]
-    with pytest.raises(ValueError):
-        script_from_circuit(
-            Circuit(1, ops=[gates.kraus_channel((0,), k)]))
+    got = interpret(parse(text))
+    assert got.n_qubits == c.n_qubits
+    assert got.initial == c.initial
+    assert [_op_key(op) for op in got.ops] == [_op_key(op) for op in c.ops]
 
 
 def test_pretty_rejects_foreign_statement():

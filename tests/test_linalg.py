@@ -14,6 +14,7 @@ from quiddsim import gates, linalg, oracle
 from quiddsim.circuit import build_operator
 from quiddsim.dd import ADD, TERMINAL_LEVEL, count_nodes, support
 from quiddsim.linalg import (
+    DENSE_CAP,
     MATRIX,
     VECTOR,
     QuIDD,
@@ -115,7 +116,8 @@ def test_to_dense_respects_cap():
     q = QuIDD(mgr, mgr.terminal(1.0), 12, VECTOR)
     with pytest.raises(ValueError):
         to_dense(q)
-    assert to_dense(q, cap=12).shape == (4096,)
+    q = QuIDD(mgr, mgr.terminal(1.0), DENSE_CAP, VECTOR)
+    assert to_dense(q).shape == (1 << DENSE_CAP,)
 
 
 def test_entry_matches_dense():

@@ -25,9 +25,6 @@ from quiddsim.oracle import (
     dense_outer,
     dense_ptrace,
     dense_run,
-    format_complex,
-    load_matrix,
-    save_matrix,
 )
 
 H2 = gates.PAYLOADS["h"]
@@ -93,9 +90,6 @@ def test_dense_run_cap():
     with pytest.raises(CapExceeded) as err:
         dense_run(Circuit(12))
     assert err.value.n == 12 and err.value.cap == oracle.DENSE_CAP
-    with pytest.raises(CapExceeded):
-        dense_run(Circuit(4), cap=3)
-    dense_run(Circuit(4), cap=4)
 
 
 def test_dense_run_structural_ops():
@@ -163,47 +157,3 @@ def test_differential_battery():
         worst = max(worst, delta)
         assert delta <= 1e-9, f"trial {trial}: |delta| = {delta:.3e}"
     assert worst <= 1e-9
-
-
-# -- matrix fixtures ---------------------------------------------------------
-
-def test_format_complex():
-    assert format_complex(1 + 0j) == "1+0i"
-    assert format_complex(-0.5 - 0.25j) == "-0.5-0.25i"
-    v = complex(1 / 3, -1 / 7)
-    parsed = complex(format_complex(v)[:-1].replace("i", "j") + "j")
-    assert parsed == v  # 17 significant digits round-trip doubles
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(61)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    path = tmp_path / "m.mat"
-    save_matrix(path, m)
-    assert load_matrix(path).tolist() == m.tolist()
-    head = path.read_text().splitlines()[0]
-    assert head == "n=3"
-
-
-def test_save_matrix_validates_shape(tmp_path):
-    with pytest.raises(ValueError):
-        save_matrix(tmp_path / "bad.mat", np.eye(3))
-    with pytest.raises(ValueError):
-        save_matrix(tmp_path / "bad.mat", np.zeros((2, 4)))
-
-
-def test_load_matrix_malformed(tmp_path):
-    cases = {
-        "empty": "",
-        "header": "m=2\n1+0i 0+0i\n0+0i 1+0i\n",
-        "count": "n=x\n",
-        "short": "n=1\n1+0i 0+0i\n",
-        "row_width": "n=1\n1+0i\n0+0i 1+0i\n",
-        "entry": "n=1\n1+0i zzz\n0+0i 1+0i\n",
-        "no_i": "n=1\n1+0i 0+0\n0+0i 1+0i\n",
-    }
-    for name, text in cases.items():
-        path = tmp_path / f"{name}.mat"
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_matrix(path)
