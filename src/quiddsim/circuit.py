@@ -6,10 +6,12 @@ sampled collapses), partial traces and diagnostic probes. ``run``
 executes it on diagram-backed density matrices; the numpy reference
 engine in :mod:`quiddsim.oracle` interprets the same IR independently.
 
-Gate application is by the book: the full n-qubit operator diagram is
-built (cached per distinct gate within a run) and the state is conjugated
-with two matrix multiplications, ``U rho U+``. Channels apply their Kraus
-operators the same way and sum the terms. The operator diagram comes from
+Gates and channels share one application path: a gate is a channel
+with the single Kraus operator ``U``. Each Kraus operator becomes a full
+n-qubit operator diagram, the list of them is cached per distinct gate or
+channel within a run, and the state becomes ``sum_k K_k rho K_k+``, each
+term by two matrix multiplications. A one-operator list yields its one
+term with no addition. Each operator diagram comes from
 
     op = I + sum over nonzero entries d[i,j] of (payload - I) of
             (x)_q piece(q)   with piece = projector at controls,
@@ -281,24 +283,6 @@ def validate(circuit: Circuit) -> None:
 
 # -- operator construction --------------------------------------------------
 
-def _chain(mgr: DDManager, n: int, pieces: dict, coeff: complex):
-    """Product diagram of per-qubit 2x2 0/1-patterned factors.
-
-    ``pieces`` maps qubit -> (e11, e10, e01, e00) occupancy flags; absent
-    qubits are identity. The scalar coefficient sits in the terminal.
-    """
-    suffix = mgr.terminal(coeff)
-    zero = mgr.terminal(0.0)
-    mk = mgr.mk_internal
-    for q in reversed(range(n)):
-        flags = pieces.get(q, (1, 0, 0, 1))
-        e11, e10, e01, e00 = flags
-        hi = mk(2 * q + 1, suffix if e11 else zero, suffix if e10 else zero)
-        lo = mk(2 * q + 1, suffix if e01 else zero, suffix if e00 else zero)
-        suffix = mk(2 * q, hi, lo)
-    return suffix
-
-
 def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
                     n: int) -> QuIDD:
     """n-qubit operator acting as ``matrix`` on the control-matched
@@ -315,7 +299,7 @@ def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
     for q, pol in controls:
         base[q] = (1, 0, 0, 0) if pol else (0, 0, 0, 1)
     # Identity everywhere outside the control-matched target block.
-    block = _chain(mgr, n, dict(base), 1.0)
+    block = linalg._chain(mgr, n, dict(base), 1.0)
     root = mgr.apply(linalg.identity(mgr, n).root,
                      mgr.map_terminals(block, operator.neg), ADD)
     for i in range(dim):
@@ -330,7 +314,7 @@ def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
                 pieces[q] = tuple(
                     1 if (r, cbit) == (a, b) else 0
                     for r, cbit in ((1, 1), (1, 0), (0, 1), (0, 0)))
-            root = mgr.apply(root, _chain(mgr, n, pieces, c), ADD)
+            root = mgr.apply(root, linalg._chain(mgr, n, pieces, c), ADD)
     return QuIDD(mgr, root, n, MATRIX)
 
 
@@ -469,8 +453,8 @@ def _roots(rho: QuIDD, op_cache: dict):
     """Roots a run still needs: the state and every cached operator."""
     yield rho.root
     for built in op_cache.values():
-        for op in built if isinstance(built, list) else (built,):
-            yield op.root
+        for k in built:
+            yield k.root
 
 
 def run(circuit: Circuit, seed: int = 0) -> RunResult:
@@ -496,20 +480,12 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
         try:
-            if isinstance(op, Gate):
+            if isinstance(op, (Gate, Channel)):
                 built = op_cache.get(op.key())
                 if built is None:
-                    built = build_operator(mgr, op, rho.n_qubits)
+                    built = [_embed_operator(mgr, k, op.targets, op.controls,
+                                             rho.n_qubits) for k in op.kraus]
                     op_cache[op.key()] = built
-                rho = apply_gate(rho, built)
-            elif isinstance(op, Channel):
-                ck = op.key()
-                built = op_cache.get(ck)
-                if built is None:
-                    built = [
-                        _embed_operator(mgr, k, op.targets, (), rho.n_qubits)
-                        for k in op.kraus]
-                    op_cache[ck] = built
                 rho = apply_channel(rho, built)
             elif isinstance(op, Measure):
                 if op.sample:

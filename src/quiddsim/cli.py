@@ -176,8 +176,7 @@ def _cmd_run(args) -> int:
         try:
             other = other_engine(circuit, seed=args.seed)
         except CapExceeded as exc:
-            print(f"check skipped: {exc.n} qubits exceeds the "
-                  f"dense cap of {exc.cap}")
+            print(f"check skipped: {exc}")
             return 0
         except _RUNTIME_ERRORS as exc:
             _runtime_error(exc)

@@ -7,6 +7,10 @@ the first target most significant. Channels are Kraus-operator lists over
 their targets; the built-in bit/phase flip channels are just convenience
 constructors for the corresponding two-operator sets.
 
+Both engines apply a gate as a one-operator channel: ``Gate.kraus`` is
+``(matrix,)`` and ``Channel.controls`` is ``()``, so every gate and
+channel is ``targets``, ``controls`` and a Kraus list.
+
 Validation happens at construction: payloads must be finite and
 unitary within 1e-9 (channels: the completeness sum within 1e-9), target
 and control sets must be disjoint and duplicate-free. Qubit range checks
@@ -108,6 +112,10 @@ class Gate:
     def qubits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.controls) + self.targets
 
+    @property
+    def kraus(self) -> tuple[np.ndarray, ...]:
+        return (self.matrix,)
+
     def key(self):
         return ("gate", self.name, self.targets, self.controls,
                 self.matrix.tobytes())
@@ -125,6 +133,7 @@ class Channel:
     targets: tuple[int, ...]
     kraus: tuple[np.ndarray, ...]
     p: float | None = None
+    controls = ()  # not a field: a channel acts unconditionally
 
     def __post_init__(self):
         self.targets = tuple(int(q) for q in self.targets)

@@ -274,17 +274,27 @@ def entry(q: QuIDD, row: int, col: int | None = None) -> complex:
 
 # -- constructors -----------------------------------------------------------
 
+def _chain(mgr: DDManager, n: int, pieces: dict, coeff: complex) -> Node:
+    """Product diagram of per-qubit 2x2 0/1-patterned factors.
+
+    ``pieces`` maps qubit -> (e11, e10, e01, e00) occupancy flags; absent
+    qubits are identity. The scalar coefficient sits in the terminal.
+    """
+    suffix = mgr.terminal(coeff)
+    zero = mgr.terminal(0.0)
+    mk = mgr.mk_internal
+    for q in reversed(range(n)):
+        e11, e10, e01, e00 = pieces.get(q, (1, 0, 0, 1))
+        hi = mk(2 * q + 1, suffix if e11 else zero, suffix if e10 else zero)
+        lo = mk(2 * q + 1, suffix if e01 else zero, suffix if e00 else zero)
+        suffix = mk(2 * q, hi, lo)
+    return suffix
+
+
 def identity(manager: DDManager, n: int) -> QuIDD:
     """Identity matrix on ``n`` qubits, built directly (O(n) nodes)."""
     _check_width(n)
-    node = manager.terminal(1.0)
-    zero = manager.terminal(0.0)
-    for k in reversed(range(n)):
-        node = manager.mk_internal(
-            2 * k,
-            manager.mk_internal(2 * k + 1, node, zero),
-            manager.mk_internal(2 * k + 1, zero, node))
-    return _quidd(manager, node, n, MATRIX)
+    return _quidd(manager, _chain(manager, n, {}, 1.0), n, MATRIX)
 
 
 def basis_vector(manager: DDManager, n: int, index: int) -> QuIDD:

@@ -2,10 +2,13 @@
 
 This is the independent check for the diagram engine: it interprets the
 same circuit IR with explicit complex matrices and qubit-wise gate
-kernels. Gates contract a small 2^m x 2^m operator (controls + targets
-only) against the density tensor; the full 2^n x 2^n circuit operator is
-never formed, but the state itself is explicit, which caps this engine at
-:data:`DENSE_CAP` qubits.
+kernels. A gate is a channel with the one Kraus operator ``U``; each
+Kraus operator is contracted against the target axes of the density
+tensor, first on the row side and then, conjugated, on the column side.
+Controls select the slice of the tensor where their axes take the
+control values, and only that slice is contracted. No operator wider
+than the targets is ever formed, but the state itself is explicit, which
+caps this engine at :data:`DENSE_CAP` qubits.
 
 Nothing here touches the decision-diagram code paths, so agreement
 between the two engines is meaningful evidence rather than an identity.
@@ -96,29 +99,24 @@ def _apply_axes(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]):
     return np.moveaxis(out, tuple(range(m)), axes)
 
 
-def _full_gate_matrix(g: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Expand controls into an explicit operator over controls+targets."""
-    qubits = tuple(q for q, _ in g.controls) + g.targets
-    nc = len(g.controls)
-    nt = len(g.targets)
-    m = nc + nt
-    dim = 1 << m
-    full = np.eye(dim, dtype=complex)
-    ctrl_bits = 0
-    for i, (_, pol) in enumerate(g.controls):
-        ctrl_bits |= pol << (m - 1 - i)
-    for a in range(1 << nt):
-        row = ctrl_bits | a
-        full[row, :] = 0
-        for b in range(1 << nt):
-            full[row, ctrl_bits | b] = g.matrix[a, b]
-    return full, qubits
-
-
-def _conjugate(tensor: np.ndarray, op: np.ndarray, qubits, n: int):
-    """rho -> U rho U+ on the given qubit positions."""
-    tensor = _apply_axes(tensor, op, tuple(qubits))
-    return _apply_axes(tensor, op.conj(), tuple(n + q for q in qubits))
+def _conjugate(tensor: np.ndarray, u: np.ndarray, targets, controls,
+               n: int) -> np.ndarray:
+    """rho -> U rho U+ for U = ``u`` on ``targets`` where every control
+    holds its polarity, identity elsewhere."""
+    if not controls:
+        tensor = _apply_axes(tensor, u, tuple(targets))
+        return _apply_axes(tensor, u.conj(), tuple(n + q for q in targets))
+    out = tensor.copy()
+    for side, op in ((0, u), (n, u.conj())):
+        index = [slice(None)] * (2 * n)
+        for q, pol in controls:
+            index[side + q] = pol
+        index = tuple(index)
+        # Fixing a control axis drops it from the view: shift the targets.
+        axes = tuple(side + t - sum(q < t for q, _ in controls)
+                     for t in targets)
+        out[index] = _apply_axes(out[index], op, axes)
+    return out
 
 
 def _diag_probs(rho: np.ndarray, qubit: int, n: int) -> tuple[float, float]:
@@ -184,17 +182,11 @@ def dense_run(circuit: Circuit, seed: int = 0) -> RunResult:
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
-        if isinstance(op, Gate):
-            full, qubits = _full_gate_matrix(op)
-            t = rho.reshape((2,) * (2 * n))
-            t = _conjugate(t, full, qubits, n)
-            rho = t.reshape((1 << n, 1 << n))
-        elif isinstance(op, Channel):
+        if isinstance(op, (Gate, Channel)):
             t = rho.reshape((2,) * (2 * n))
             acc = None
             for k in op.kraus:
-                term = _conjugate(t, np.asarray(k, dtype=complex),
-                                  op.targets, n)
+                term = _conjugate(t, k, op.targets, op.controls, n)
                 acc = term if acc is None else acc + term
             rho = acc.reshape((1 << n, 1 << n))
         elif isinstance(op, Measure):

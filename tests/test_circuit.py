@@ -178,6 +178,27 @@ def test_channel_preserves_trace():
             assert abs(trace(out) - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gates.h(1),
+    lambda: gates.u1(2, np.array([[0.6, 0.8j], [0.8j, 0.6]])),
+    lambda: gates.swap(0, 2),
+], ids=["h", "u1", "swap"])
+def test_gate_and_its_one_operator_channel_agree(make):
+    g = make()
+    ch = gates.kraus_channel(g.targets, [g.matrix])
+    prep = [gates.h(0), gates.cnot(0, 1), gates.bit_flip(2, 0.3),
+            gates.t(2), gates.h(2)]
+    initial = MixtureInit(((0.7, 0b001), (0.3, 0b100)))
+    by_gate, by_channel = (Circuit(3, ops=prep + [op], initial=initial)
+                           for op in (g, ch))
+    a, b = run(by_gate), run(by_channel)
+    assert a.rho.manager.to_dot(a.rho.root) == \
+        b.rho.manager.to_dot(b.rho.root)
+    assert a.stats.manager_nodes == b.stats.manager_nodes
+    assert np.array_equal(oracle.dense_run(by_gate).rho,
+                          oracle.dense_run(by_channel).rho)
+
+
 # -- measurement -------------------------------------------------------------
 
 def test_measure_prob_basis_and_plus():

@@ -136,6 +136,19 @@ def test_check_skipped_over_cap(tmp_path, capsys):
     assert "check skipped: 12 qubits" in capsys.readouterr().out
 
 
+def test_over_cap_wording_is_the_same_for_run_and_check(tmp_path, capsys):
+    path = tmp_path / "wide.qpd"
+    path.write_text("qubits 12\nh 0\n")
+    assert main(["run", str(path), "--engine", "dense"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert main(["run", str(path), "--check"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()[-1]
+    assert err.startswith("runtime error: ")
+    assert out.startswith("check skipped: ")
+    assert err.removeprefix("runtime error: ") == \
+        out.removeprefix("check skipped: ")
+
+
 def test_check_mismatch_exits_2(bell_script, capsys, monkeypatch):
     wrong = np.eye(4) * 0.25  # far from any collapsed projector
 

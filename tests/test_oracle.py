@@ -1,17 +1,20 @@
 """Dense reference engine and the engine-vs-engine differential battery."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from helpers import random_circuit
+from helpers import random_circuit, random_unitary
 
-from quiddsim import gates, oracle
+from quiddsim import bench, gates, oracle
 from quiddsim.circuit import (
     AssertProb,
     BasisInit,
     Circuit,
     Measure,
+    MixtureInit,
     PartialTraceOp,
     PrintOp,
     SimulationError,
@@ -121,6 +124,121 @@ def test_dense_run_stats_shape():
     assert r.stats.seed == 3
     assert r.stats.peak_nodes is None
     assert [st.op for st in r.stats.steps] == ["gate h [0]"]
+
+
+# -- gate kernel -------------------------------------------------------------
+
+def kron_embedding(g, n):
+    """``P (x) u + (I - P) (x) I`` over (controls, targets, rest), with
+    ``P`` the projector onto the control pattern, permuted into qubit
+    order."""
+    controls = [q for q, _ in g.controls]
+    order = controls + list(g.targets)
+    order += [q for q in range(n) if q not in order]
+    p = np.ones((1, 1))
+    for _, pol in g.controls:
+        p = np.kron(p, np.diag([1 - pol, pol]))
+    eye_c = np.eye(len(p))
+    eye_t = np.eye(len(g.matrix))
+    eye_rest = np.eye(1 << (n - len(controls) - len(g.targets)))
+    op = (np.kron(np.kron(p, g.matrix), eye_rest)
+          + np.kron(np.kron(eye_c - p, eye_t), eye_rest))
+    perm = [order.index(q) for q in range(n)]
+    op = op.reshape((2,) * (2 * n)).transpose(perm + [n + a for a in perm])
+    return op.reshape((1 << n, 1 << n))
+
+
+def random_mixed_prep(rng, n):
+    """Circuit preparing a random mixed state with coherences."""
+    terms = tuple((float(rng.uniform(0.1, 1.0)), int(rng.integers(0, 1 << n)))
+                  for _ in range(3))
+    ops = [gates.u1(q, random_unitary(rng, 2)) for q in range(n)]
+    a, b = (int(q) for q in rng.permutation(n)[:2])
+    ops.append(gates.Gate("u2", (a, b), random_unitary(rng, 4)))
+    ops.extend(gates.u1(q, random_unitary(rng, 2)) for q in range(n))
+    return Circuit(n, ops=ops, initial=MixtureInit(terms))
+
+
+def test_controlled_gates_match_kron_embedding():
+    rng = np.random.default_rng(4242)
+    cases = 0
+    polarities = set()
+    for n in range(2, 7):
+        for nt in (1, 2):
+            for nc in range(min(3, n - nt) + 1):
+                qs = [int(q) for q in rng.permutation(n)]
+                targets, rest = qs[:nt], qs[nt:]
+                if nt == 1:
+                    inner = gates.u1(targets[0], random_unitary(rng, 2))
+                else:
+                    inner = gates.swap(*targets)
+                controls = [(q, int(rng.integers(0, 2))) for q in rest[:nc]]
+                polarities.update(pol for _, pol in controls)
+                g = gates.controlled(inner, controls)
+                prep = random_mixed_prep(rng, n)
+                rho = dense_run(prep).rho
+                u = kron_embedding(g, n)
+                want = u @ rho @ u.conj().T
+                prep.ops.append(g)
+                got = dense_run(prep).rho
+                assert np.max(np.abs(got - want)) <= 1e-12, (n, g)
+                cases += 1
+    assert cases == 31 and polarities == {0, 1}
+
+
+def ten_wire_steane():
+    """The Steane code's encoder, bit-flip syndrome and three-control
+    decoder: the ops of ``steane7`` on its first ten wires."""
+    ops = [op for op in bench.gen_code_demo("steane7", ("x", 2)).ops
+           if isinstance(op, gates.Gate) and max(op.qubits) < 10]
+    return Circuit(10, ops=ops)
+
+
+@pytest.mark.parametrize("circuit", [ten_wire_steane(), bench.gen_grover(7)],
+                         ids=["steane", "grover7"])
+def test_dense_kernel_never_forms_an_operator_wider_than_targets(
+        circuit, monkeypatch):
+    widest = max(len(op.controls) for op in circuit.ops)
+    assert widest >= 3
+    shapes = []
+    apply_axes = oracle._apply_axes
+
+    def spy(tensor, op, axes):
+        shapes.append(op.shape)
+        return apply_axes(tensor, op, axes)
+
+    monkeypatch.setattr(oracle, "_apply_axes", spy)
+    dense_run(circuit)
+    assert len(shapes) == 2 * len(circuit.ops)
+    dim = 1 << max(len(op.targets) for op in circuit.ops)
+    assert max(shapes) <= (dim, dim)
+
+
+def test_oracle_takes_only_the_ir_from_the_diagram_side():
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert not alias.name.startswith("quiddsim"), alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # ``from . import x`` takes modules
+                raise AssertionError(
+                    f"module import {[a.name for a in node.names]}")
+            module = node.module.rpartition(".")[2]
+            imported.setdefault(module, set()).update(
+                a.name for a in node.names)
+    assert "dd" not in imported
+    assert imported["linalg"] == {"DENSE_CAP"}
+    # Not ``run``, ``apply_*``, ``build_operator`` or ``_embed_operator``.
+    ir = {
+        "Gate", "Channel", "Measure", "PartialTraceOp", "TraceAllOp",
+        "AssertProb", "PrintOp", "BasisInit", "AmplitudeInit",
+        "MixtureInit", "Circuit", "MeasurementRecord", "StepStat",
+        "RunStats", "RunResult", "CircuitError", "SimulationError",
+        "validate", "describe", "format_value", "COLLAPSE_TOL",
+    }
+    assert imported["circuit"] <= ir, imported["circuit"] - ir
 
 
 # -- engine agreement --------------------------------------------------------
