@@ -13,8 +13,11 @@ channel is ``targets``, ``controls`` and a Kraus list.
 
 Validation happens at construction: payloads must be finite and
 unitary within 1e-9 (channels: the completeness sum within 1e-9), target
-and control sets must be disjoint and duplicate-free. Qubit range checks
-against a concrete circuit width happen later, at circuit validation.
+and control sets must be disjoint and duplicate-free. The library
+payloads (``PAYLOADS`` and the swap matrix) are read-only arrays, and a
+gate that carries one of them itself, not a copy, skips the unitarity
+check. Qubit range checks against a concrete circuit width happen later,
+at circuit validation.
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ _SWAP = np.array(
      [0, 1, 0, 0],
      [0, 0, 0, 1]], dtype=complex)
 
+# Read-only, so that a gate carrying one of them is known to be unitary.
+_LIBRARY = (*PAYLOADS.values(), _SWAP)
+for _m in _LIBRARY:
+    _m.flags.writeable = False
+del _m
+
 
 def _identity_deviation(matrices) -> float:
     """Largest entry of ``|sum(k^H k) - I|``: the deviation of a payload
@@ -104,6 +113,8 @@ class Gate:
             raise ValueError(
                 f"payload {self.matrix.shape} does not match "
                 f"{len(self.targets)} target(s)")
+        if any(self.matrix is m for m in _LIBRARY):
+            return
         err = _identity_deviation([self.matrix])
         if err > UNITARY_TOL:
             raise ValueError(f"payload is not unitary (deviation {err:.3g})")

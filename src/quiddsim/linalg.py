@@ -275,18 +275,28 @@ def entry(q: QuIDD, row: int, col: int | None = None) -> complex:
 # -- constructors -----------------------------------------------------------
 
 def _chain(mgr: DDManager, n: int, pieces: dict, coeff: complex) -> Node:
-    """Product diagram of per-qubit 2x2 0/1-patterned factors.
+    """Product diagram of per-qubit 2x2 factors, built from the bottom
+    qubit up.
 
-    ``pieces`` maps qubit -> (e11, e10, e01, e00) occupancy flags; absent
-    qubits are identity. The scalar coefficient sits in the terminal.
+    ``pieces`` maps qubit -> the factor's entries (e11, e10, e01, e00);
+    absent qubits are identity. The scalar coefficient sits in the
+    terminal. An entry other than 0 and 1 scales the product below it, so
+    no 4^k entries are ever enumerated.
     """
     suffix = mgr.terminal(coeff)
     zero = mgr.terminal(0.0)
     mk = mgr.mk_internal
     for q in reversed(range(n)):
-        e11, e10, e01, e00 = pieces.get(q, (1, 0, 0, 1))
-        hi = mk(2 * q + 1, suffix if e11 else zero, suffix if e10 else zero)
-        lo = mk(2 * q + 1, suffix if e01 else zero, suffix if e00 else zero)
+        piece = pieces.get(q)
+        if piece is None:
+            e11, e10, e01, e00 = suffix, zero, zero, suffix
+        else:
+            e11, e10, e01, e00 = (
+                zero if e == 0 else suffix if e == 1
+                else mgr.map_terminals(suffix, MUL, complex(e))
+                for e in piece)
+        hi = mk(2 * q + 1, e11, e10)
+        lo = mk(2 * q + 1, e01, e00)
         suffix = mk(2 * q, hi, lo)
     return suffix
 

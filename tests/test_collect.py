@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_circuit
-from quiddsim import circuit, dd
-from quiddsim.bench import gen_grover
-from quiddsim.circuit import Measure, PartialTraceOp, PrintOp, TraceAllOp, run
+from quiddsim import circuit, dd, gates
+from quiddsim.circuit import Circuit, Measure, PartialTraceOp, PrintOp, TraceAllOp, run
 from quiddsim.dd import DDManager
 from quiddsim.lang import interpret, parse
 from quiddsim.linalg import to_dense
@@ -72,7 +71,22 @@ def test_collection_is_exact_on_generated_circuits(seed, n, depth):
     assert_exact(c, seed)
 
 
+def clifford_rounds(n, rounds):
+    """H on every wire, a ring of CNOTs and S on the even wires, repeated.
+    Stabilizer states take few distinct values, so the terminals, which
+    are never collected, stay few while the run allocates on."""
+    c = Circuit(n)
+    for r in range(rounds):
+        c.ops += [gates.h(q) for q in range(n)]
+        c.ops += [gates.cnot(q, (q + 1 + r % (n - 1)) % n) for q in range(n)]
+        c.ops += [gates.s(q) for q in range(0, n, 2)]
+    return c
+
+
 def test_unique_table_stays_bounded(monkeypatch):
+    # Not Grover: each of its iterations makes new amplitudes, so what a
+    # collection keeps is mostly terminals, and the table tracks their
+    # number rather than the allocations.
     managers, kept, checks = [], [0], []
     new_manager, collect, count_nodes = (
         circuit.new_manager, DDManager.collect, circuit.count_nodes)
@@ -93,7 +107,7 @@ def test_unique_table_stays_bounded(monkeypatch):
     monkeypatch.setattr(circuit, "new_manager", recorded)
     monkeypatch.setattr(DDManager, "collect", collecting)
     monkeypatch.setattr(circuit, "count_nodes", counting)
-    stats = run(gen_grover(10)).stats
+    stats = run(clifford_rounds(8, 6)).stats
     assert len(kept) > 2  # it collected more than once
     assert all(size <= bound for size, bound in checks)
     assert max(size for size, _ in checks) < stats.manager_nodes / 4

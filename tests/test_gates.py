@@ -15,6 +15,36 @@ def test_payloads_are_unitary():
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12), name
 
 
+@pytest.mark.parametrize("make, checked", [
+    (lambda: gates.cnot(0, 1), False),
+    (lambda: gates.toffoli(0, 1, 2), False),
+    (lambda: gates.h(0), False),
+    (lambda: gates.swap(0, 1), False),
+    (lambda: gates.controlled(gates.h(0), [(1, 0), (2, 1)]), False),
+    (lambda: gates.u1(0, PAYLOADS["x"].copy()), True),
+], ids=["cnot", "toffoli", "h", "swap", "controlled-h", "u1-copy"])
+def test_library_payloads_skip_the_unitarity_check(make, checked,
+                                                   monkeypatch):
+    calls = []
+    real = gates._identity_deviation
+
+    def spy(matrices):
+        calls.append(matrices)
+        return real(matrices)
+
+    monkeypatch.setattr(gates, "_identity_deviation", spy)
+    make()
+    assert bool(calls) == checked
+
+
+def test_library_payloads_are_read_only():
+    with pytest.raises(ValueError):
+        PAYLOADS["x"][0, 0] = 1
+    with pytest.raises(ValueError):
+        gates.swap(0, 1).matrix[0, 0] = 0
+    assert np.array_equal(PAYLOADS["x"], [[0, 1], [1, 0]])
+
+
 def test_named_constructors():
     g = gates.h(3)
     assert g.name == "h" and g.targets == (3,) and g.controls == ()
