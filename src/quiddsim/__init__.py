@@ -25,7 +25,6 @@ from .linalg import (
     from_dense,
     identity,
     matrix_multiply,
-    matrix_vector,
     new_manager,
     outer_product,
     partial_trace,
@@ -105,7 +104,7 @@ __all__ = [
     # linear algebra
     "DENSE_CAP", "QuIDD", "new_manager", "from_dense", "to_dense", "entry",
     "identity", "basis_vector", "uniform_superposition", "tensor",
-    "conj_transpose", "matrix_multiply", "matrix_vector", "outer_product",
+    "conj_transpose", "matrix_multiply", "outer_product",
     "partial_trace", "partial_trace_multi", "trace", "scalar_op", "add",
     # gates and channels
     "Gate", "Channel", "gate", "h", "x", "y", "z", "s", "t", "u1", "cnot",

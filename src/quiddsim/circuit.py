@@ -289,8 +289,8 @@ def validate(circuit: Circuit) -> None:
             if not 0.0 <= op.value <= 1.0:
                 raise CircuitError(
                     f"probability {op.value} outside [0, 1]", step)
-            if op.tol < 0:
-                raise CircuitError("negative tolerance", step)
+            if not op.tol >= 0:  # also rejects NaN
+                raise CircuitError(f"tolerance {op.tol} is not >= 0", step)
         elif isinstance(op, PrintOp):
             if op.what not in ("probs", "trace", "nodes"):
                 raise CircuitError(f"unknown print {op.what!r}", step)

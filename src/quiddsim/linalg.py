@@ -4,23 +4,18 @@ A :class:`QuIDD` wraps a canonical diagram root together with a qubit
 count and a kind. Matrices live on the interleaved variable order
 ``R_0 < C_0 < R_1 < C_1 < ...`` (level ``2k`` is the k-th row bit, level
 ``2k+1`` the k-th column bit, bit k being the k-th most significant index
-bit). Column vectors use only the row levels; a vector therefore doubles
-as the matrix whose columns are all equal, which is exactly what the
-block-recursive multiplication below assumes.
+bit). Column vectors use only the row levels.
 
-Multiplication follows the classic recursive block decomposition for
-algebraic decision diagrams: at each qubit the operands split into four
-cofactors over (row bit, summation bit) and (summation bit, column bit),
-the four result blocks are sums of two recursive products, and whenever
-both operands skip a summation variable the result picks up a factor of
-two. The outer product of a column vector runs the same multiplication
-against the conjugated, column-shifted copy of the vector; because the
-vector-as-matrix has all columns equal, the product overcounts by 2^n,
-which :func:`outer_product` divides back out. Block products with a zero
-factor and block sums with a zero product are skipped, not computed:
-the zero node times anything is the zero node, and adding it returns the
-other operand, so skipping them leaves every result node, and the order
-in which nodes are allocated, unchanged.
+Multiplication of two matrices follows the classic recursive block
+decomposition for algebraic decision diagrams: at each qubit the operands
+split into four cofactors over (row bit, summation bit) and (summation
+bit, column bit), the four result blocks are sums of two recursive
+products, and whenever both operands skip a summation variable the result
+picks up a factor of two. Block products with a zero factor and block
+sums with a zero product are skipped, not computed: the zero node times
+anything is the zero node, and adding it returns the other operand, so
+skipping them leaves every result node, and the order in which nodes are
+allocated, unchanged.
 
 All operations require both operands to come from the same manager.
 Recursive helpers delete their own name once done, for the reason given
@@ -55,7 +50,6 @@ __all__ = [
     "tensor",
     "conj_transpose",
     "matrix_multiply",
-    "matrix_vector",
     "outer_product",
     "partial_trace",
     "partial_trace_multi",
@@ -470,43 +464,23 @@ def matrix_multiply(a: QuIDD, b: QuIDD) -> QuIDD:
     return _quidd(mgr, root, a.n_qubits, MATRIX)
 
 
-def matrix_vector(a: QuIDD, v: QuIDD) -> QuIDD:
-    """Apply a matrix to a column vector.
-
-    The vector participates as the all-columns-equal matrix; since its
-    column variables are absent rather than summed twice, the product is
-    the plain matrix-vector result with no correction factor.
-    """
-    mgr = _require_same_manager(a, v)
-    if a.kind != MATRIX or v.kind != VECTOR:
-        raise ValueError("matrix_vector expects (matrix, vector)")
-    if a.n_qubits != v.n_qubits:
-        raise ValueError("operand qubit counts differ")
-    root = _multiply_nodes(mgr, a.root, v.root, a.n_qubits)
-    return _quidd(mgr, root, a.n_qubits, VECTOR)
-
-
-def _outer_product_raw(v: QuIDD) -> QuIDD:
-    mgr = v.manager
-    if v.kind != VECTOR:
-        raise ValueError("outer_product expects a column vector")
-    # Row variables move to their column twins (level + 1), conjugated.
-    ct = mgr.map_terminals(mgr.shift_variables(v.root, 0, 1), CONJ)
-    root = _multiply_nodes(mgr, v.root, ct, v.n_qubits)
-    return _quidd(mgr, root, v.n_qubits, MATRIX)
-
-
 def outer_product(v: QuIDD) -> QuIDD:
     """Density matrix ``v v†`` of a column vector.
 
-    The multiplication sums over all 2^n absent summation variables, so
-    the raw product is ``2^n`` times too large; the division below is
-    part of the operation, not a caller concern.
+    ``v`` tests only row levels; its conjugate, moved to the column
+    levels (level + 1), tests only column levels. Their pointwise product
+    is therefore ``v_r · conj(v_c)``, the outer product, in one apply.
     """
-    raw = _outer_product_raw(v)
-    root = raw.manager.map_terminals(raw.root, operator.truediv,
-                                     1 << v.n_qubits)
-    return _quidd(raw.manager, root, v.n_qubits, MATRIX)
+    mgr = v.manager
+    if v.kind != VECTOR:
+        raise ValueError("outer_product expects a column vector")
+    ct = mgr.map_terminals(mgr.shift_variables(v.root, 0, 1), CONJ)
+    return _quidd(mgr, mgr._apply(v.root, ct, MUL), v.n_qubits, MATRIX)
+
+
+def _outer_product_raw(v: QuIDD) -> QuIDD:
+    # ``v v†`` times 2^n: test_acceptance_outer_product pins its trace.
+    return scalar_op(outer_product(v), 1 << v.n_qubits)
 
 
 def scalar_op(q: QuIDD, c: complex, op: str = "multiply") -> QuIDD:

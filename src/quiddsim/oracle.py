@@ -49,8 +49,6 @@ __all__ = [
     "DENSE_CAP",
     "CapExceeded",
     "dense_run",
-    "dense_multiply",
-    "dense_outer",
     "dense_ptrace",
 ]
 
@@ -66,15 +64,6 @@ class CapExceeded(Exception):
 
 
 # -- elementary dense helpers ----------------------------------------------
-
-def dense_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def dense_outer(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
-
 
 def dense_ptrace(rho: np.ndarray, qubit: int) -> np.ndarray:
     """Trace one qubit out of an explicit density matrix."""

@@ -363,6 +363,8 @@ def test_validate_assert_prob_fields():
         validate(Circuit(1, ops=[AssertProb(0, 1, 1.5, 1e-9)]))
     with pytest.raises(CircuitError):
         validate(Circuit(1, ops=[AssertProb(0, 1, 0.5, -1.0)]))
+    with pytest.raises(CircuitError):
+        validate(Circuit(1, ops=[AssertProb(0, 1, 0.0, math.nan)]))
 
 
 def test_validate_unknown_op():
@@ -552,10 +554,10 @@ def test_run_frees_manager_without_cyclic_collector():
 
 
 @pytest.mark.parametrize("make, counts, collect", [
-    (lambda: gen_grover(7, 5), (10734, 50), False),
-    (lambda: gen_rc_adder(7, 9), (4177, 34), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (48474, 1251), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (50836, 1251), True),
+    (lambda: gen_grover(7, 5), (10671, 50), False),
+    (lambda: gen_rc_adder(7, 9), (3889, 34), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (48279, 1251), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (50641, 1251), True),
 ], ids=["grover", "adder", "steane7", "steane7-collecting"])
 def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
     # A kernel change that allocates other nodes, or in another number,

@@ -25,7 +25,6 @@ from quiddsim.linalg import (
     from_dense,
     identity,
     matrix_multiply,
-    matrix_vector,
     new_manager,
     outer_product,
     partial_trace,
@@ -298,7 +297,7 @@ def test_multiply_random_matches_oracle(zeroed):
         operand, r, c = zeroed
         (a if operand == "a" else b)[2 * r:2 * r + 2, 2 * c:2 * c + 2] = 0
     got = to_dense(matrix_multiply(from_dense(mgr, a), from_dense(mgr, b)))
-    assert np.max(np.abs(got - oracle.dense_multiply(a, b))) <= 1e-9
+    assert np.max(np.abs(got - a @ b)) <= 1e-9
 
 
 def test_multiply_skips_sums_with_zero(monkeypatch):
@@ -344,30 +343,6 @@ def test_multiply_validation():
         matrix_multiply(identity(mgr, 1), identity(other, 1))
 
 
-def test_matrix_vector_pauli_x():
-    mgr = new_manager(1)
-    x = from_dense(mgr, np.array([[0, 1], [1, 0]]))
-    out = matrix_vector(x, basis_vector(mgr, 1, 0))
-    assert out.kind == VECTOR
-    assert out.root is basis_vector(mgr, 1, 1).root
-
-
-def test_matrix_vector_hadamard_pair():
-    mgr = new_manager(2)
-    hh = tensor(from_dense(mgr, H2), from_dense(mgr, H2))
-    out = matrix_vector(hh, basis_vector(mgr, 2, 0b01))
-    assert np.allclose(to_dense(out), [0.5, -0.5, 0.5, -0.5], atol=1e-12)
-
-
-def test_matrix_vector_random_matches_numpy():
-    rng = np.random.default_rng(27)
-    mgr = new_manager(3)
-    a = random_unitary(rng, 8)
-    v = random_unit(rng, 3)
-    got = to_dense(matrix_vector(from_dense(mgr, a), from_dense(mgr, v)))
-    assert np.max(np.abs(got - a @ v)) <= 1e-9
-
-
 # -- outer product -----------------------------------------------------------
 
 def test_outer_product_basis_state():
@@ -386,8 +361,7 @@ def test_outer_product_plus_state():
 
 def test_outer_product_hadamard_01_state():
     mgr = new_manager(2)
-    hh = tensor(from_dense(mgr, H2), from_dense(mgr, H2))
-    v = matrix_vector(hh, basis_vector(mgr, 2, 0b01))
+    v = from_dense(mgr, np.kron(H2, H2) @ np.eye(4)[0b01])
     rho = outer_product(v)
     assert support(rho.root) == {2, 3}  # first qubit's vars absent
     want = np.outer(to_dense(v), to_dense(v).conj())
@@ -401,7 +375,7 @@ def test_outer_product_trace_normalization():
         mgr = new_manager(n)
         v = from_dense(mgr, random_unit(rng, n))
         assert abs(trace(outer_product(v)) - 1) <= 1e-9
-        # without the 2^n correction the trace is exactly 2^n too large
+        # the raw product is v v† times 2^n
         raw = linalg._outer_product_raw(v)
         assert abs(trace(raw) - (1 << n)) <= 1e-6
 
@@ -411,7 +385,40 @@ def test_outer_product_matches_oracle():
     mgr = new_manager(3)
     v = random_unit(rng, 3)
     got = to_dense(outer_product(from_dense(mgr, v)))
-    assert np.max(np.abs(got - oracle.dense_outer(v))) <= 1e-9
+    assert np.max(np.abs(got - np.outer(v, v.conj()))) <= 1e-9
+
+
+def outer_vectors(n):
+    """Unit vectors on ``n`` qubits, from incompressible to structured."""
+    rng = np.random.default_rng(40 + n)
+    d = 1 << n
+    dense = rng.normal(size=d) + 1j * rng.normal(size=d)
+    sparse = dense * (rng.random(d) < 0.5)
+    sparse[0] = 1
+    blocks = np.kron(dense[:1 << (n // 2)], np.ones(1 << (n - n // 2)))
+    phases = np.array([1, -1, 1j, -1j])[rng.integers(4, size=d)]
+    for v in (dense, dense.real, sparse, blocks, phases):
+        yield v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_outer_product_allocates_little_beyond_its_result(n):
+    # One shift, one conjugation and one pointwise product: every node
+    # allocated is a node of one of those three results.
+    for v in outer_vectors(n):
+        mgr = new_manager(n)
+        q = from_dense(mgr, v)
+        before = mgr.node_count
+        rho = outer_product(q)
+        assert mgr.node_count - before <= rho.node_count + 2 * q.node_count
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_outer_product_is_hermitian_and_exact(n):
+    for v in outer_vectors(n):
+        rho = outer_product(from_dense(new_manager(n), v))
+        assert conj_transpose(rho).root is rho.root
+        assert np.max(np.abs(to_dense(rho) - np.outer(v, v.conj()))) <= 1e-15
 
 
 # -- partial trace -----------------------------------------------------------
@@ -612,7 +619,7 @@ def test_compression_hadamard_operator_affine():
 OPERATIONS = (
     "from_dense_vector", "from_dense_matrix", "identity", "basis_vector",
     "uniform_superposition", "tensor", "conj_transpose", "matrix_multiply",
-    "matrix_vector", "outer_product", "scalar_op", "add", "partial_trace",
+    "outer_product", "scalar_op", "add", "partial_trace",
     "partial_trace_multi")
 
 
@@ -631,7 +638,6 @@ def _operation_results(mgr):
         "tensor": tensor(from_dense(mgr, H2), mat),
         "conj_transpose": conj_transpose(mat),
         "matrix_multiply": matrix_multiply(mat, conj_transpose(mat)),
-        "matrix_vector": matrix_vector(mat, vec),
         "outer_product": outer_product(vec),
         "scalar_op": scalar_op(mat, 0.5j),
         "add": add(mat, identity(mgr, 2)),

@@ -1,7 +1,6 @@
 """Dense reference engine and the engine-vs-engine differential battery."""
 
 import ast
-import math
 import pathlib
 
 import numpy as np
@@ -24,8 +23,6 @@ from quiddsim.circuit import (
 from quiddsim.linalg import to_dense
 from quiddsim.oracle import (
     CapExceeded,
-    dense_multiply,
-    dense_outer,
     dense_ptrace,
     dense_run,
 )
@@ -37,19 +34,6 @@ BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
 
 # -- elementary helpers ------------------------------------------------------
-
-def test_dense_multiply_hh_is_identity():
-    assert np.allclose(dense_multiply(H2, H2), np.eye(2), atol=1e-15)
-
-
-def test_dense_outer_basis_zero():
-    assert np.array_equal(dense_outer(np.array([1.0, 0.0])), np.diag([1, 0]))
-
-
-def test_dense_outer_accepts_column():
-    v = np.array([[1.0], [1.0]]) / math.sqrt(2)
-    assert np.allclose(dense_outer(v), np.full((2, 2), 0.5), atol=1e-15)
-
 
 def test_dense_ptrace_bell():
     assert np.allclose(dense_ptrace(BELL, 1), np.diag([0.5, 0.5]), atol=1e-15)
