@@ -11,15 +11,10 @@ with the single Kraus operator ``U``. Each Kraus operator becomes a full
 n-qubit operator diagram, the list of them is cached per distinct gate or
 channel within a run, and the state becomes ``sum_k K_k rho K_k+``, each
 term by two matrix multiplications. A one-operator list yields its one
-term with no addition. Each operator diagram comes from
-
-    op = I + sum over nonzero entries d[i,j] of (payload - I) of
-            (x)_q piece(q)   with piece = projector at controls,
-                             unit matrix E_{i_m j_m} at target m,
-                             identity elsewhere
-
-which is the identity outside the control subspace and the payload inside
-it, and never materializes anything exponential for structured gates.
+term with no addition. Each operator diagram is built by one walk over
+the wires that splits at the targets, follows the firing cell at the
+controls and is identity elsewhere, so it holds only 0, 1 and the
+payload's entries.
 
 A run of consecutive uncontrolled one-target gates on distinct wires, at
 most ``LAYER_WIRES`` of them, is applied as one layer: a single operator,
@@ -35,7 +30,6 @@ after them.
 from __future__ import annotations
 
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -43,7 +37,7 @@ import numpy as np
 
 from . import dd, linalg
 from ._rng import XorShift64Star
-from .dd import ADD, MUL, DDManager, count_nodes
+from .dd import MUL, DDManager, Node, count_nodes
 from .gates import Channel, Gate
 from .linalg import MATRIX, QuIDD, new_manager
 
@@ -307,33 +301,42 @@ def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
     """n-qubit operator acting as ``matrix`` on the control-matched
     subspace of the targets and as identity elsewhere.
 
-    Assembled from parts with pairwise disjoint support, so every entry
-    of the result is rounded exactly once from its true value. Folding
-    in an identity delta instead would round ``u - 1`` and ``1 + (u - 1)``
-    separately, splitting terminals that must stay identical.
+    One walk down the wires carries the payload row and column bits
+    chosen so far (the first target is the most significant): a target
+    splits into its four cells, a control continues on the diagonal cell
+    of its polarity and puts the identity below on the other one (zero
+    off the payload's diagonal), and any other wire is identity. Entries
+    are 0, 1 or payload entries, each rounded once, and the payload
+    claims its terminals in row-major order.
     """
-    nt = len(targets)
-    dim = 1 << nt
-    base: dict[int, tuple] = {}
-    for q, pol in controls:
-        base[q] = (1, 0, 0, 0) if pol else (0, 0, 0, 1)
-    # Identity everywhere outside the control-matched target block.
-    block = linalg._chain(mgr, n, dict(base), 1.0)
-    root = mgr.apply(linalg.identity(mgr, n).root,
-                     mgr.map_terminals(block, operator.neg), ADD)
-    for i in range(dim):
-        for j in range(dim):
-            c = matrix[i, j]
-            if c == 0:
-                continue
-            pieces = dict(base)
-            for m, q in enumerate(targets):
-                a = (i >> (nt - 1 - m)) & 1
-                b = (j >> (nt - 1 - m)) & 1
-                pieces[q] = tuple(
-                    1 if (r, cbit) == (a, b) else 0
-                    for r, cbit in ((1, 1), (1, 0), (0, 1), (0, 0)))
-            root = mgr.apply(root, linalg._chain(mgr, n, pieces, c), ADD)
+    ids = [linalg.identity(mgr, n).root]  # ids[q]: identity on wires q..
+    for _ in range(n):
+        ids.append(ids[-1].lo.lo)
+    zero = mgr.terminal(0.0)
+    entries = [[mgr.terminal(v) for v in row] for row in matrix]
+    shift = {q: len(targets) - 1 - m for m, q in enumerate(targets)}
+    polarity = dict(controls)
+    mk = mgr.mk_internal
+
+    def walk(q: int, i: int, j: int) -> Node:
+        if q == n:
+            return entries[i][j]
+        r, c = 2 * q, 2 * q + 1
+        b = shift.get(q)
+        if b is not None:
+            e11, e10, e01, e00 = (
+                walk(q + 1, i | x << b, j | y << b)
+                for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
+            return mk(r, mk(c, e11, e10), mk(c, e01, e00))
+        below = walk(q + 1, i, j)
+        if q in polarity:
+            other = ids[q + 1] if i == j else zero
+            e11, e00 = (below, other) if polarity[q] else (other, below)
+            return mk(r, mk(c, e11, zero), mk(c, zero, e00))
+        return mk(r, mk(c, below, zero), mk(c, zero, below))
+
+    root = walk(0, 0, 0)
+    del walk
     return QuIDD(mgr, root, n, MATRIX)
 
 
@@ -342,7 +345,7 @@ def _layer_operator(mgr: DDManager, gates, n: int) -> QuIDD:
     distinct wires, identity on every other wire."""
     pieces = {g.targets[0]: (g.matrix[1, 1], g.matrix[1, 0], g.matrix[0, 1],
                              g.matrix[0, 0]) for g in gates}
-    return QuIDD(mgr, linalg._chain(mgr, n, pieces, 1.0), n, MATRIX)
+    return QuIDD(mgr, linalg._chain(mgr, n, pieces), n, MATRIX)
 
 
 def build_operator(mgr: DDManager, g: Gate, n: int) -> QuIDD:

@@ -498,25 +498,22 @@ def _lower_init(stmt, n: int):
     return MixtureInit(tuple((w, int(bits, 2)) for w, bits in stmt.terms))
 
 
-def _lower_gate(stmt) -> Gate:
+def _lower_gate(stmt, controls=()) -> Gate:
+    """The gate of a clause, with a ``cu``'s ``controls`` after its own."""
     if isinstance(stmt, U1Stmt):
-        return _g.u1(stmt.qubit, _u1_matrix(stmt))
-    if stmt.name in _SIMPLE_GATES:
-        return _g.gate(stmt.name, stmt.qubits[0])
-    if stmt.name == "cnot":
-        return _g.cnot(*stmt.qubits)
-    if stmt.name == "toffoli":
-        return _g.toffoli(*stmt.qubits)
-    if stmt.name == "swap":
-        return _g.swap(*stmt.qubits)
-    raise ValueError(f"unknown gate {stmt.name!r}")
+        return Gate("u1", (stmt.qubit,), _u1_matrix(stmt), controls)
+    if stmt.name in ("cnot", "toffoli"):
+        *own, target = stmt.qubits
+        return Gate("x", (target,), _g.PAYLOADS["x"],
+                    tuple((q, 1) for q in own) + controls)
+    return _g.gate(stmt.name, *stmt.qubits, controls=controls)
 
 
 def _lower_op(stmt):
     if isinstance(stmt, (SimpleGate, U1Stmt)):
         return _lower_gate(stmt)
     if isinstance(stmt, CuStmt):
-        return _g.controlled(_lower_gate(stmt.inner), stmt.controls)
+        return _lower_gate(stmt.inner, stmt.controls)
     if isinstance(stmt, ChannelStmt):
         maker = _g.bit_flip if stmt.kind == "bitflip" else _g.phase_flip
         return maker(stmt.qubit, stmt.p)
@@ -574,10 +571,10 @@ def interpret(script: Script) -> Circuit:
                 continue
             at.append(stmt)
             if isinstance(stmt, CuStmt) and isinstance(stmt.inner, U1Stmt):
-                # The cu's own wire faults come before those of its u1
-                # payload: lower it on an identity payload first.
-                circuit.ops.append(_g.controlled(
-                    _g.u1(stmt.inner.qubit, np.eye(2)), stmt.controls))
+                # The cu's own wire faults come before its u1 payload's:
+                # lower it first on a library payload, which is unchecked.
+                circuit.ops.append(
+                    _g.gate("x", stmt.inner.qubit, controls=stmt.controls))
                 where = stmt.inner
                 circuit.ops[-1] = _lower_op(stmt)
             else:

@@ -268,16 +268,15 @@ def entry(q: QuIDD, row: int, col: int | None = None) -> complex:
 
 # -- constructors -----------------------------------------------------------
 
-def _chain(mgr: DDManager, n: int, pieces: dict, coeff: complex) -> Node:
+def _chain(mgr: DDManager, n: int, pieces: dict) -> Node:
     """Product diagram of per-qubit 2x2 factors, built from the bottom
     qubit up.
 
     ``pieces`` maps qubit -> the factor's entries (e11, e10, e01, e00);
-    absent qubits are identity. The scalar coefficient sits in the
-    terminal. An entry other than 0 and 1 scales the product below it, so
-    no 4^k entries are ever enumerated.
+    absent qubits are identity. An entry other than 0 and 1 scales the
+    product below it, so no 4^k entries are ever enumerated.
     """
-    suffix = mgr.terminal(coeff)
+    suffix = mgr.terminal(1.0)
     zero = mgr.terminal(0.0)
     mk = mgr.mk_internal
     for q in reversed(range(n)):
@@ -298,7 +297,7 @@ def _chain(mgr: DDManager, n: int, pieces: dict, coeff: complex) -> Node:
 def identity(manager: DDManager, n: int) -> QuIDD:
     """Identity matrix on ``n`` qubits, built directly (O(n) nodes)."""
     _check_width(n)
-    return _quidd(manager, _chain(manager, n, {}, 1.0), n, MATRIX)
+    return _quidd(manager, _chain(manager, n, {}), n, MATRIX)
 
 
 def basis_vector(manager: DDManager, n: int, index: int) -> QuIDD:

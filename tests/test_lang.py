@@ -181,6 +181,21 @@ def test_validate_script_reports_inner_u1():
     assert (err.value.line, err.value.col) == (2, 10)
 
 
+@pytest.mark.parametrize("body, checks", [
+    ("u1 1 1 0 0 0 0 0 1 0", 1),
+    ("cu [ 0 ] u1 1 1 0 0 0 0 0 1 0", 1),
+    ("cu [ -0 ] u1 1 0 0 1 0 1 0 0 0\ncu [ 1 ] u1 0 1 0 0 0 0 0 1 0", 2),
+    ("cu [ 0 ] h 1\ncu [ 0 ] cnot 1 2\ncu [ -1 ] swap 0 2", 0),
+], ids=["u1", "cu-u1", "two-cu-u1", "cu-library"])
+def test_each_gate_is_checked_once(body, checks, monkeypatch):
+    calls = []
+    real = gates._identity_deviation
+    monkeypatch.setattr(gates, "_identity_deviation",
+                        lambda ms: calls.append(1) or real(ms))
+    interpret(parse(f"qubits 3\n{body}\n"))
+    assert len(calls) == checks
+
+
 @pytest.mark.parametrize("text, position", [
     ("qubits 2\nx 5\nqubits 2\n", (2, 1)),
     ("qubits 2\nh 9\nbitflip 0 1.5\n", (2, 1)),
