@@ -8,22 +8,23 @@ engine in :mod:`quiddsim.oracle` interprets the same IR independently.
 
 Gates and channels share one application path: a gate is a channel
 with the single Kraus operator ``U``. Each Kraus operator becomes a full
-n-qubit operator diagram, the list of them is cached per distinct gate or
-channel within a run, and the state becomes ``sum_k K_k rho K_k+``, each
-term by two matrix multiplications. A one-operator list yields its one
-term with no addition. Each operator diagram is built by one walk over
-the wires that splits at the targets, follows the firing cell at the
-controls and is identity elsewhere, so it holds only 0, 1 and the
-payload's entries.
+n-qubit operator diagram, the list of them is cached per unit of steps
+within a run, and the state becomes ``sum_k K_k rho K_k+``, each term by
+two matrix multiplications. A one-operator list yields its one term with
+no addition. Every operator diagram is built by one walk over the wires
+that splits at the targets, follows the firing cell at the controls,
+scales by a one-qubit factor's entries at a factor's wire and is
+identity elsewhere.
 
-A run of consecutive uncontrolled one-target gates on distinct wires, at
-most ``LAYER_WIRES`` of them, is applied as one layer: a single operator,
-the tensor product of the payloads with the identity on the other wires,
-built wire by wire from the bottom up (H on n wires takes 4n nodes), so
-the run costs two multiplications instead of two per gate. A measurement,
-probe, trace, channel, controlled or multi-target gate, a repeated wire
-or a full layer ends the run. The layer takes effect at its last gate;
-the steps before it report no node count and no time, as no state exists
+A unit is one gate or channel, or a layer: a run of consecutive
+uncontrolled one-target gates on distinct wires, at most ``LAYER_WIRES``
+of them. A layer is applied as a single operator, the tensor product of
+the payloads with the identity on the other wires, which the walk builds
+with one factor per gate (H on n wires takes 4n nodes), so the run costs
+two multiplications instead of two per gate. A measurement, probe,
+trace, channel, controlled or multi-target gate, a repeated wire or a
+full layer ends the run. The layer takes effect at its last gate; the
+steps before it report no node count and no time, as no state exists
 after them.
 """
 
@@ -204,6 +205,8 @@ class RunResult:
 # -- validation -------------------------------------------------------------
 
 def _check_qubit(q: int, n: int, what: str, step: int) -> None:
+    if not isinstance(q, numbers.Integral):
+        raise CircuitError(f"{what} qubit {q!r} is not an integer", step)
     if not 0 <= q < n:
         raise CircuitError(f"{what} qubit {q} out of range for {n} qubit(s)",
                            step)
@@ -297,55 +300,73 @@ def validate(circuit: Circuit) -> None:
 # -- operator construction --------------------------------------------------
 
 def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
-                    n: int) -> QuIDD:
+                    n: int, factors=()) -> QuIDD:
     """n-qubit operator acting as ``matrix`` on the control-matched
-    subspace of the targets and as identity elsewhere.
+    subspace of the targets, as the 2x2 payload of each ``(wire,
+    payload)`` in ``factors`` on its wire, and as identity elsewhere.
 
     One walk down the wires carries the payload row and column bits
     chosen so far (the first target is the most significant): a target
     splits into its four cells, a control continues on the diagonal cell
     of its polarity and puts the identity below on the other one (zero
-    off the payload's diagonal), and any other wire is identity. Entries
-    are 0, 1 or payload entries, each rounded once, and the payload
-    claims its terminals in row-major order.
+    off the payload's diagonal), a factor scales the product below by
+    each of its entries other than 0 and 1, and any other wire is
+    identity. Payload entries are rounded once and claim their terminals
+    in row-major order. A control's identity ignores factors, which
+    therefore come with an uncontrolled payload only.
     """
-    ids = [linalg.identity(mgr, n).root]  # ids[q]: identity on wires q..
-    for _ in range(n):
-        ids.append(ids[-1].lo.lo)
+    ids = []  # ids[q]: identity on wires q.., for the controls
+    if controls:
+        ids.append(linalg.identity(mgr, n).root)
+        for _ in range(n):
+            ids.append(ids[-1].lo.lo)
     zero = mgr.terminal(0.0)
     entries = [[mgr.terminal(v) for v in row] for row in matrix]
     shift = {q: len(targets) - 1 - m for m, q in enumerate(targets)}
     polarity = dict(controls)
+    factors = dict(factors)
+    cells = ((1, 1), (1, 0), (0, 1), (0, 0))
     mk = mgr.mk_internal
 
     def walk(q: int, i: int, j: int) -> Node:
         if q == n:
             return entries[i][j]
-        r, c = 2 * q, 2 * q + 1
         b = shift.get(q)
         if b is not None:
-            e11, e10, e01, e00 = (
-                walk(q + 1, i | x << b, j | y << b)
-                for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
-            return mk(r, mk(c, e11, e10), mk(c, e01, e00))
-        below = walk(q + 1, i, j)
-        if q in polarity:
-            other = ids[q + 1] if i == j else zero
-            e11, e00 = (below, other) if polarity[q] else (other, below)
-            return mk(r, mk(c, e11, zero), mk(c, zero, e00))
-        return mk(r, mk(c, below, zero), mk(c, zero, below))
+            e11, e10, e01, e00 = [walk(q + 1, i | x << b, j | y << b)
+                                  for x, y in cells]
+        else:
+            below = walk(q + 1, i, j)
+            e11, e10, e01, e00 = below, zero, zero, below
+            if q in polarity:
+                other = ids[q + 1] if i == j else zero
+                if polarity[q]:
+                    e00 = other
+                else:
+                    e11 = other
+            elif q in factors:
+                f = factors[q]
+                e11, e10, e01, e00 = [
+                    zero if v == 0 else below if v == 1
+                    else mgr.map_terminals(below, MUL, complex(v))
+                    for v in (f[x, y] for x, y in cells)]
+        c = 2 * q + 1
+        return mk(c - 1, mk(c, e11, e10), mk(c, e01, e00))
 
     root = walk(0, 0, 0)
     del walk
     return QuIDD(mgr, root, n, MATRIX)
 
 
-def _layer_operator(mgr: DDManager, gates, n: int) -> QuIDD:
-    """n-qubit tensor product of the payloads of one-target ``gates`` on
-    distinct wires, identity on every other wire."""
-    pieces = {g.targets[0]: (g.matrix[1, 1], g.matrix[1, 0], g.matrix[0, 1],
-                             g.matrix[0, 0]) for g in gates}
-    return QuIDD(mgr, linalg._chain(mgr, n, pieces), n, MATRIX)
+def _unit_operators(mgr: DDManager, unit: list, n: int) -> list[QuIDD]:
+    """Operators of a unit: a lone op's Kraus operators, or a layer's one
+    operator with a factor per gate."""
+    if len(unit) > 1:
+        factors = [(g.targets[0], g.matrix) for g in unit]
+        return [_embed_operator(mgr, np.ones((1, 1)), (), (), n, factors)]
+    op = unit[0]
+    return [_embed_operator(mgr, k, op.targets, op.controls, n)
+            for k in op.kraus]
 
 
 def build_operator(mgr: DDManager, g: Gate, n: int) -> QuIDD:
@@ -451,7 +472,7 @@ def describe(op) -> str:
 def format_value(v: complex) -> str:
     """Probe output form of a complex value: real part alone if the
     imaginary part is negligible."""
-    if abs(v.imag) < 1e-12:
+    if abs(v.imag) < dd.ZERO_EPS:
         return f"{v.real:.12g}"
     return f"{v.real:.12g}{v.imag:+.12g}i"
 
@@ -522,7 +543,7 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     op_cache: dict = {}
     peak = count_nodes(rho.root)
     kept = 0  # nodes kept by the last collection
-    layer_from = layer_to = 0  # ops[layer_from:layer_to] is the layer
+    layer_from = layer_to = 0  # ops[layer_from:layer_to] is the unit
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
@@ -532,20 +553,13 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
         try:
             if step < layer_to - 1:
                 pass  # applied with the rest of its layer
-            elif layer_to - layer_from > 1:
-                layer = circuit.ops[layer_from:layer_to]
-                key = tuple(g.key() for g in layer)
+            elif isinstance(op, (Gate, Channel)):
+                unit = circuit.ops[layer_from:layer_to]
+                key = tuple(u.key() for u in unit)
                 built = op_cache.get(key)
                 if built is None:
-                    built = [_layer_operator(mgr, layer, rho.n_qubits)]
+                    built = _unit_operators(mgr, unit, rho.n_qubits)
                     op_cache[key] = built
-                rho = apply_channel(rho, built)
-            elif isinstance(op, (Gate, Channel)):
-                built = op_cache.get(op.key())
-                if built is None:
-                    built = [_embed_operator(mgr, k, op.targets, op.controls,
-                                             rho.n_qubits) for k in op.kraus]
-                    op_cache[op.key()] = built
                 rho = apply_channel(rho, built)
             elif isinstance(op, Measure):
                 if op.sample:

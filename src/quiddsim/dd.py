@@ -27,14 +27,17 @@ significant index bit. This module is agnostic to that convention except
 for the ``R``/``C`` labels used in DOT output.
 
 Every recursive operation caches its results in a computed table owned
-by the manager, always. ``collect(roots)`` drops every internal node not
-reachable from ``roots`` from the unique table, together with the whole
-computed table; a dropped node is foreign to the manager from then on.
-Terminals are never collected, so every value keeps the cell claimant it
-had, and a result computed again after a collection has the same
-structure and the same terminal nodes as the one dropped; a kept result
-is the same node. A node's ``idx`` is never reused. The manager is not
-thread-safe; share nothing or lock externally.
+by the manager, always. One memoized rebuild walk (``rebuild``) both
+maps terminal values and moves levels; ``map_terminals`` and
+``shift_variables`` are calls of it. ``collect(roots)`` drops every
+internal node not reachable from ``roots`` from the unique table,
+together with the whole computed table; a dropped node is foreign to the
+manager from then on. Terminals are never collected, so every value
+keeps the cell claimant it had, and a result computed again after a
+collection has the same structure and the same terminal nodes as the one
+dropped; a kept result is the same node. A node's ``idx`` is never
+reused. The manager is not thread-safe; share nothing or lock
+externally.
 
 Recursive walks are closures that refer to themselves, and through their
 locals to the manager. Each walk deletes its name once it returns, which
@@ -361,6 +364,48 @@ class DDManager:
         del rec
         return root
 
+    def rebuild(self, f: Node, op: Callable[..., complex] | None = None,
+                args: tuple = (), threshold: int = 0, delta: int = 0) -> Node:
+        """Rebuild ``f`` with every level ``>= threshold`` moved by
+        ``delta`` and, given ``op``, each terminal value ``v`` replaced by
+        ``op(v, *args)``.
+
+        Cached on ``(op, args, threshold, delta)``. Moved levels must
+        stay inside the manager's capacity and may not collide with or
+        cross an unmoved one; both surface as :class:`OrderingError`.
+        """
+        self._check_owned(f)
+        if op is None and delta == 0:
+            return f
+        cache = self._cache
+        mk = self.mk_internal
+        term = self.terminal
+        num_vars = self.num_vars
+        TL = TERMINAL_LEVEL
+
+        def rec(a):
+            lv = a.level
+            if lv == TL:
+                return a if op is None else term(op(a.value, *args))
+            key = ("rb", op, args, threshold, delta, a.idx)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+            if lv >= threshold:
+                lv += delta
+                if lv < 0 or lv >= num_vars:
+                    raise OrderingError(
+                        f"shift moves {var_name(a.level)} to level {lv}, "
+                        f"outside 0..{num_vars - 1}")
+            # mk_internal rejects any crossing with unmoved levels
+            r = mk(lv, rec(a.hi), rec(a.lo))
+            cache[key] = r
+            return r
+
+        root = rec(f)
+        del rec
+        return root
+
     def map_terminals(self, f: Node, op: Callable[..., complex],
                       *args) -> Node:
         """Rebuild ``f`` with each terminal value ``v`` replaced by
@@ -369,26 +414,7 @@ class DDManager:
         Cached on ``(op, args)``: pass a stable callable such as ``MUL``
         with its operands, not a fresh closure per call.
         """
-        self._check_owned(f)
-        cache = self._cache
-        mk = self.mk_internal
-        term = self.terminal
-        TL = TERMINAL_LEVEL
-
-        def rec(a):
-            if a.level == TL:
-                return term(op(a.value, *args))
-            key = ("map", op, args, a.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            r = mk(a.level, rec(a.hi), rec(a.lo))
-            cache[key] = r
-            return r
-
-        root = rec(f)
-        del rec
-        return root
+        return self.rebuild(f, op, args)
 
     def cofactor(self, f: Node, level: int, bit: int) -> Node:
         """Restrict variable ``level`` to ``bit`` (0 or 1).
@@ -419,43 +445,12 @@ class DDManager:
         return root
 
     def shift_variables(self, f: Node, threshold: int, delta: int) -> Node:
-        """Relabel every level ``>= threshold`` by ``+delta``.
+        """Relabel every level ``>= threshold`` by ``+delta``, as
+        :meth:`rebuild` does.
 
         Used to renumber qubits after tensor products and partial traces.
-        Shifted levels must stay inside the manager's capacity, and no
-        shifted variable may collide with or cross an unshifted one; both
-        conditions surface as :class:`OrderingError`.
         """
-        self._check_owned(f)
-        if delta == 0:
-            return f
-        cache = self._cache
-        mk = self.mk_internal
-        num_vars = self.num_vars
-        TL = TERMINAL_LEVEL
-
-        def rec(a):
-            if a.level == TL:
-                return a
-            key = ("sh", threshold, delta, a.idx)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            lv = a.level
-            if lv >= threshold:
-                lv += delta
-                if lv < 0 or lv >= num_vars:
-                    raise OrderingError(
-                        f"shift moves {var_name(a.level)} to level {lv}, "
-                        f"outside 0..{num_vars - 1}")
-            # mk_internal rejects any crossing with unshifted levels
-            r = mk(lv, rec(a.hi), rec(a.lo))
-            cache[key] = r
-            return r
-
-        root = rec(f)
-        del rec
-        return root
+        return self.rebuild(f, None, (), threshold, delta)
 
     def evaluate(self, f: Node, assignment: Mapping[int, int]) -> complex:
         """Value of the diagram under a level -> bit assignment.
@@ -481,20 +476,7 @@ class DDManager:
         """GraphViz rendering. Solid edges are then (bit 1), dashed else."""
         self._check_owned(f)
         lines = [f"digraph {name} {{", "  rankdir=TB;"]
-        seen = set()
-        order: list[Node] = []
-
-        def visit(node):
-            if node.idx in seen:
-                return
-            seen.add(node.idx)
-            if node.level != TERMINAL_LEVEL:
-                visit(node.hi)
-                visit(node.lo)
-            order.append(node)
-
-        visit(f)
-        del visit
+        order = list(iter_nodes(f))
         for node in order:
             if node.level == TERMINAL_LEVEL:
                 v = node.value
@@ -516,9 +498,10 @@ def iter_nodes(f: Node, seen: set[int] | None = None) -> Iterable[Node]:
     """Depth-first iteration over distinct reachable nodes.
 
     The one reachability walk of the kernel; :func:`count_nodes`,
-    :func:`support` and :meth:`DDManager.collect` reduce over it. Nodes
-    whose ``idx`` is in ``seen`` are skipped, and every node visited is
-    added to it, so walks that share ``seen`` visit each node once.
+    :func:`support`, :meth:`DDManager.collect` and
+    :meth:`DDManager.to_dot` reduce over it. Nodes whose ``idx`` is in
+    ``seen`` are skipped, and every node visited is added to it, so walks
+    that share ``seen`` visit each node once.
     """
     if seen is None:
         seen = set()

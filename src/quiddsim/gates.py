@@ -23,6 +23,7 @@ at circuit validation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,9 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        self.targets = tuple(int(q) for q in self.targets)
-        self.controls = tuple((int(q), int(p)) for q, p in self.controls)
+        self.targets = tuple(operator.index(q) for q in self.targets)
+        self.controls = tuple((operator.index(q), int(p))
+                              for q, p in self.controls)
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubits")
@@ -147,7 +149,7 @@ class Channel:
     controls = ()  # not a field: a channel acts unconditionally
 
     def __post_init__(self):
-        self.targets = tuple(int(q) for q in self.targets)
+        self.targets = tuple(operator.index(q) for q in self.targets)
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("duplicate target qubits")
         self.kraus = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -237,7 +239,7 @@ def swap(a: int, b: int) -> Gate:
 def controlled(inner: Gate, controls) -> Gate:
     """Add controls to an existing gate (merged with any it already has)."""
     return Gate(inner.name, inner.targets, inner.matrix,
-                inner.controls + tuple((int(q), int(p)) for q, p in controls))
+                inner.controls + tuple(controls))
 
 
 # -- channel constructors ---------------------------------------------------

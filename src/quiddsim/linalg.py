@@ -17,6 +17,10 @@ anything is the zero node, and adding it returns the other operand, so
 skipping them leaves every result node, and the order in which nodes are
 allocated, unchanged.
 
+Scaling, conjugating and renumbering qubits are calls of the manager's
+one rebuild walk, ``DDManager.rebuild``; only ``conj_transpose`` (a
+row/column swap) keeps a walk of its own.
+
 All operations require both operands to come from the same manager.
 Recursive helpers delete their own name once done, for the reason given
 in :mod:`quiddsim.dd`.
@@ -268,36 +272,15 @@ def entry(q: QuIDD, row: int, col: int | None = None) -> complex:
 
 # -- constructors -----------------------------------------------------------
 
-def _chain(mgr: DDManager, n: int, pieces: dict) -> Node:
-    """Product diagram of per-qubit 2x2 factors, built from the bottom
-    qubit up.
-
-    ``pieces`` maps qubit -> the factor's entries (e11, e10, e01, e00);
-    absent qubits are identity. An entry other than 0 and 1 scales the
-    product below it, so no 4^k entries are ever enumerated.
-    """
-    suffix = mgr.terminal(1.0)
-    zero = mgr.terminal(0.0)
-    mk = mgr.mk_internal
-    for q in reversed(range(n)):
-        piece = pieces.get(q)
-        if piece is None:
-            e11, e10, e01, e00 = suffix, zero, zero, suffix
-        else:
-            e11, e10, e01, e00 = (
-                zero if e == 0 else suffix if e == 1
-                else mgr.map_terminals(suffix, MUL, complex(e))
-                for e in piece)
-        hi = mk(2 * q + 1, e11, e10)
-        lo = mk(2 * q + 1, e01, e00)
-        suffix = mk(2 * q, hi, lo)
-    return suffix
-
-
 def identity(manager: DDManager, n: int) -> QuIDD:
-    """Identity matrix on ``n`` qubits, built directly (O(n) nodes)."""
+    """Identity matrix on ``n`` qubits, built directly (3 nodes a qubit)."""
     _check_width(n)
-    return _quidd(manager, _chain(manager, n, {}), n, MATRIX)
+    node = manager.terminal(1.0)
+    zero = manager.terminal(0.0)
+    mk = manager.mk_internal
+    for k in reversed(range(n)):
+        node = mk(2 * k, mk(2 * k + 1, node, zero), mk(2 * k + 1, zero, node))
+    return _quidd(manager, node, n, MATRIX)
 
 
 def basis_vector(manager: DDManager, n: int, index: int) -> QuIDD:
@@ -466,14 +449,15 @@ def matrix_multiply(a: QuIDD, b: QuIDD) -> QuIDD:
 def outer_product(v: QuIDD) -> QuIDD:
     """Density matrix ``v v†`` of a column vector.
 
-    ``v`` tests only row levels; its conjugate, moved to the column
-    levels (level + 1), tests only column levels. Their pointwise product
-    is therefore ``v_r · conj(v_c)``, the outer product, in one apply.
+    ``v`` tests only row levels; its conjugate, built on the column
+    levels (level + 1) in one rebuild, tests only column levels. Their
+    pointwise product is therefore ``v_r · conj(v_c)``, the outer
+    product, in one apply.
     """
     mgr = v.manager
     if v.kind != VECTOR:
         raise ValueError("outer_product expects a column vector")
-    ct = mgr.map_terminals(mgr.shift_variables(v.root, 0, 1), CONJ)
+    ct = mgr.rebuild(v.root, CONJ, (), 0, 1)
     return _quidd(mgr, mgr._apply(v.root, ct, MUL), v.n_qubits, MATRIX)
 
 

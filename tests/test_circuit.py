@@ -172,6 +172,17 @@ def test_embedded_operator_allocates_little_beyond_its_result():
         assert mgr.node_count <= op.node_count + 3 * n + 2, (targets, n)
 
 
+def test_uncontrolled_operator_allocates_only_its_own_nodes():
+    # Without controls no identity is built: a fresh manager holds the
+    # operator's nodes and at most the zero terminal besides.
+    cases = [c for c in random_embeddings(61, range(1, 9), 37) if not c[2]]
+    assert len(cases) > 100
+    for matrix, targets, controls, n in cases:
+        mgr = new_manager(n)
+        op = circuit._embed_operator(mgr, matrix, targets, controls, n)
+        assert mgr.node_count <= op.node_count + 1, (targets, n)
+
+
 def test_build_operator_range_check():
     mgr = new_manager(1)
     with pytest.raises(CircuitError):
@@ -438,6 +449,23 @@ def test_validate_assert_prob_fields():
         validate(Circuit(1, ops=[AssertProb(0, 1, 0.5, -1.0)]))
     with pytest.raises(CircuitError):
         validate(Circuit(1, ops=[AssertProb(0, 1, 0.0, math.nan)]))
+
+
+@pytest.mark.parametrize("engine", [run, oracle.dense_run],
+                         ids=["quidd", "dense"])
+@pytest.mark.parametrize("ops, step", [
+    ([gates.h(0), PartialTraceOp(1.5)], 1),
+    ([Measure(0.5)], 0),
+    ([Measure(1.0, sample=True)], 0),
+    ([gates.h(1), PrintOp("probs")], 1),
+    ([PrintOp("probs", 0.0)], 0),
+    ([AssertProb(0.0, 0, 1.0, 1e-9)], 0),
+], ids=["ptrace", "measure", "pmeasure", "print-none", "print-float",
+        "assert-prob"])
+def test_run_rejects_non_integer_wires(engine, ops, step):
+    with pytest.raises(CircuitError, match="not an integer") as err:
+        engine(Circuit(2, ops=ops))
+    assert err.value.step == step
 
 
 def test_validate_unknown_op():

@@ -64,6 +64,23 @@ def test_gate_name_validation():
         gates.gate("swap", 0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda q: gates.h(q),
+    lambda q: gates.cnot(q, 0),
+    lambda q: gates.swap(0, q),
+    lambda q: gates.bit_flip(q, 0.25),
+    lambda q: gates.controlled(gates.x(0), [(q, 1)]),
+], ids=["h", "cnot-control", "swap", "bitflip", "controlled"])
+def test_gates_take_only_integer_wires(make):
+    with pytest.raises(TypeError):
+        make(1.5)
+    with pytest.raises(TypeError):
+        make(1.0)
+    op = make(np.int64(1))  # numpy integers are integers
+    assert 1 in op.qubits
+    assert all(type(q) is int for q in op.qubits)
+
+
 def test_cnot_and_toffoli_are_controlled_x():
     c = gates.cnot(0, 2)
     assert c.controls == ((0, 1),) and c.targets == (2,)

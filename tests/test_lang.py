@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quiddsim import gates
+from quiddsim import gates, oracle
 from quiddsim.circuit import (
     AssertProb,
     BasisInit,
@@ -27,6 +27,7 @@ from quiddsim.lang import (
     pretty,
     validate_script,
 )
+from quiddsim.linalg import to_dense
 
 SCRIPTS = Path(__file__).parent / "scripts"
 GOLDENS = sorted(SCRIPTS.glob("*.qpd"))
@@ -51,9 +52,25 @@ def test_golden_round_trip(path):
 
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_golden_executes(path):
+    # Both engines run every script alike at the golden seeds: the same
+    # outcomes and prints (a node count has no dense counterpart), and
+    # probabilities and final states within 1e-9.
     circuit = interpret(parse(path.read_text()))
-    result = run(circuit, seed=0)
-    assert result.stats.engine == "quidd"
+
+    def shown(prints):
+        return [(step, line) for step, line in prints
+                if not line.startswith("nodes:")]
+
+    for seed in (0, 7):
+        mine = run(circuit, seed=seed)
+        ref = oracle.dense_run(circuit, seed=seed)
+        assert mine.stats.engine == "quidd"
+        assert [(r.step, r.qubit, r.outcome) for r in mine.records] == \
+            [(r.step, r.qubit, r.outcome) for r in ref.records]
+        for a, b in zip(mine.records, ref.records):
+            assert abs(a.p0 - b.p0) <= 1e-9 and abs(a.p1 - b.p1) <= 1e-9
+        assert shown(mine.stats.prints) == shown(ref.stats.prints)
+        assert np.abs(to_dense(mine.rho) - ref.rho).max() <= 1e-9
 
 
 @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)

@@ -1,7 +1,8 @@
 """Runs of one-qubit gates on distinct wires, applied as one layer.
 
-A layer is the tensor product of its payloads, identity elsewhere; it is
-applied at its last gate, and must give what the gates give one by one,
+A layer is the tensor product of its payloads, identity elsewhere, built
+by the gate operator's wire walk with one factor per gate; it is applied
+at its last gate, and must give what the gates give one by one,
 as the dense engine applies them.
 """
 
@@ -17,11 +18,18 @@ from quiddsim.circuit import (
     Measure,
     PartialTraceOp,
     PrintOp,
-    _layer_operator,
+    _unit_operators,
     run,
 )
 from quiddsim.dd import TERMINAL_LEVEL, count_nodes, iter_nodes
 from quiddsim.linalg import new_manager, to_dense
+
+
+def layer_operator(mgr, layer, n):
+    """The one operator ``run`` applies for ``layer``."""
+    ops = _unit_operators(mgr, layer, n)
+    assert len(ops) == 1
+    return ops[0]
 
 
 def kron_layer(payloads: dict, n: int) -> np.ndarray:
@@ -39,13 +47,13 @@ def test_layer_operator_is_the_kronecker_product(width):
         wires = [int(q) for q in rng.permutation(n)[:width]]
         payloads = {q: random_unitary(rng, 2) for q in wires}
         layer = [gates.u1(q, payloads[q]) for q in wires]
-        op = _layer_operator(new_manager(n), layer, n)
+        op = layer_operator(new_manager(n), layer, n)
         assert np.abs(to_dense(op) - kron_layer(payloads, n)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_hadamard_layer_grows_linearly(n):
-    op = _layer_operator(new_manager(n), [gates.h(q) for q in range(n)], n)
+    op = layer_operator(new_manager(n), [gates.h(q) for q in range(n)], n)
     assert op.node_count <= 4 * n
 
 

@@ -403,14 +403,14 @@ def outer_vectors(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_outer_product_allocates_little_beyond_its_result(n):
-    # One shift, one conjugation and one pointwise product: every node
-    # allocated is a node of one of those three results.
+    # One rebuild (conjugated, on the column levels) and one pointwise
+    # product: every node allocated is a node of one of those results.
     for v in outer_vectors(n):
         mgr = new_manager(n)
         q = from_dense(mgr, v)
         before = mgr.node_count
         rho = outer_product(q)
-        assert mgr.node_count - before <= rho.node_count + 2 * q.node_count
+        assert mgr.node_count - before <= rho.node_count + q.node_count
 
 
 @pytest.mark.parametrize("n", range(1, 8))
