@@ -6,26 +6,40 @@ sampled collapses), partial traces and diagnostic probes. ``run``
 executes it on diagram-backed density matrices; the numpy reference
 engine in :mod:`quiddsim.oracle` interprets the same IR independently.
 
-Gates and channels share one application path: a gate is a channel
-with the single Kraus operator ``U``. Each Kraus operator becomes a full
-n-qubit operator diagram, the list of them is cached per unit of steps
-within a run, and the state becomes ``sum_k K_k rho K_k+``, each term by
-two matrix multiplications. A one-operator list yields its one term with
-no addition. Every operator diagram is built by one walk over the wires
-that splits at the targets, follows the firing cell at the controls,
-scales by a one-qubit factor's entries at a factor's wire and is
-identity elsewhere.
+Gates and channels share one model: a gate is a channel with the single
+Kraus operator ``U``, and the state becomes ``sum_k K_k rho K_k+``.
 
-A unit is one gate or channel, or a layer: a run of consecutive
-uncontrolled one-target gates on distinct wires, at most ``LAYER_WIRES``
-of them. A layer is applied as a single operator, the tensor product of
-the payloads with the identity on the other wires, which the walk builds
-with one factor per gate (H on n wires takes 4n nodes), so the run costs
-two multiplications instead of two per gate. A measurement, probe,
-trace, channel, controlled or multi-target gate, a repeated wire or a
-full layer ends the run. The layer takes effect at its last gate; the
-steps before it report no node count and no time, as no state exists
-after them.
+A lone gate or channel with one target wire is applied by walks over
+the state, with no operator (``apply_one_target``). Per Kraus operator
+``K``, one walk over the row levels gives ``K~ rho`` and one over the
+column levels, with ``conj(K)``, gives ``K~ rho K~+`` (``K~``: ``K`` on
+the target where the controls fire, identity elsewhere); the terms are
+then added. A walk keeps the non-firing cofactor at a control and walks
+the firing one, carries the target's cofactor pair ``(x0, x1)`` past any
+controls below the target, and makes new child ``a`` the sum
+``K[a][0]·x0 + K[a][1]·x1``, one cached ``dd.LINCOMB`` apply. A 0
+coefficient drops its term and a 1 keeps its operand node, so ``x``,
+``cnot`` and ``toffoli`` only permute cofactors.
+
+Every other unit goes through full n-qubit operator diagrams, cached per
+unit within a run, and two matrix multiplications per Kraus operator:
+layers, ``swap``, two-target ``u1`` gates and channels on more than one
+wire. Every operator diagram is built by one walk over the wires that
+splits at the targets, follows the firing cell at the controls, scales
+by a one-qubit factor's entries at a factor's wire and is identity
+elsewhere.
+
+A layer is a run of consecutive uncontrolled one-target gates on
+distinct wires, at most ``LAYER_WIRES`` of them. It is applied as a
+single operator, the tensor product of the payloads with the identity on
+the other wires, which the walk builds with one factor per gate (H on n
+wires takes 4n nodes), so the run costs two multiplications. Layers keep
+the operator because one walk per gate leaves larger intermediate
+states: ``run(bench.gen_grover(15))`` peaks at 228 nodes with layers and
+at 395 with every gate walked. A measurement, probe, trace, channel,
+controlled or multi-target gate, a repeated wire or a full layer ends
+the run. The layer takes effect at its last gate; the steps before it
+report no node count and no time, as no state exists after them.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ import numpy as np
 
 from . import dd, linalg
 from ._rng import XorShift64Star
-from .dd import MUL, DDManager, Node, count_nodes
+from .dd import LINCOMB, MUL, DDManager, Node, count_nodes
 from .gates import Channel, Gate
 from .linalg import MATRIX, QuIDD, new_manager
 
@@ -62,6 +76,7 @@ __all__ = [
     "build_operator",
     "apply_gate",
     "apply_channel",
+    "apply_one_target",
     "measure_prob",
     "collapse",
     "sample_measure",
@@ -212,6 +227,13 @@ def _check_qubit(q: int, n: int, what: str, step: int) -> None:
                            step)
 
 
+def _check_index(index, n: int, what: str) -> None:
+    if not isinstance(index, numbers.Integral):
+        raise CircuitError(f"{what} {index!r} is not an integer")
+    if not 0 <= index < 1 << n:
+        raise CircuitError(f"{what} {index} out of range")
+
+
 def _finite(value, kind, convert, what: str):
     """``convert(value)``, if ``value`` is a ``kind`` number in float
     range."""
@@ -233,8 +255,7 @@ def validate(circuit: Circuit) -> None:
         raise CircuitError(f"circuit has more than {MAX_QUBITS} qubits")
     init = circuit.initial
     if isinstance(init, BasisInit):
-        if not 0 <= init.index < 1 << n:
-            raise CircuitError(f"initial basis index {init.index} out of range")
+        _check_index(init.index, n, "initial basis index")
     elif isinstance(init, AmplitudeInit):
         if len(init.amplitudes) != 1 << n:
             raise CircuitError(
@@ -256,8 +277,7 @@ def validate(circuit: Circuit) -> None:
             w = _finite(w, numbers.Real, float, "mixture weight")
             if w < 0:
                 raise CircuitError(f"negative mixture weight {w}")
-            if not 0 <= index < 1 << n:
-                raise CircuitError(f"mixture basis index {index} out of range")
+            _check_index(index, n, "mixture basis index")
             total += w
         if not np.isfinite(total):
             raise CircuitError("mixture weights have no finite sum")
@@ -388,6 +408,109 @@ def apply_channel(rho: QuIDD, operators: list[QuIDD]) -> QuIDD:
     total = None
     for k in operators:
         term = apply_gate(rho, k)
+        total = term if total is None else linalg.add(total, term)
+    return total
+
+
+def _walk_side(mgr: DDManager, root: Node, matrix: np.ndarray, target: int,
+               controls, side: int) -> Node:
+    """``root`` with the 2x2 ``matrix`` applied to its row (``side`` 0)
+    or column (``side`` 1) bits at ``target``, where ``controls`` fire.
+
+    Above the target, a control level keeps the non-firing cofactor and
+    walks the firing one. The target level splits into the cofactors
+    ``x0`` and ``x1``, and new child ``a`` is ``matrix[a][0]·x0 +
+    matrix[a][1]·x1``, one ``LINCOMB`` apply. Controls below the target
+    are passed with the pair: child ``a`` keeps ``x_a``'s non-firing
+    cofactor there and combines the firing ones. A node that skips a
+    level stands for both of its cofactors. A zero block stays zero.
+    """
+    above = sorted((2 * q + side, p) for q, p in controls if q < target)
+    above.append((2 * target + side, None))
+    below = sorted((2 * q + side, p) for q, p in controls if q > target)
+    c0, c1 = [(complex(row[0]), complex(row[1])) for row in matrix]
+    mk = mgr.mk_internal
+    ap = mgr._apply
+    memo: dict = {}
+
+    def split(x: Node, lv: int):
+        return (x.hi, x.lo) if x.level == lv else (x, x)
+
+    def pair(x0: Node, x1: Node, k: int):
+        # The target's new children (0, 1), past the controls below[k:].
+        if k == len(below):
+            return ap(x0, x1, LINCOMB, c0), ap(x0, x1, LINCOMB, c1)
+        if x0.value == 0 and x1.value == 0:
+            return x0, x0
+        key = (x0.idx, x1.idx, k)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        lv, p = below[k]
+        top = min(x0.level, x1.level)
+        if top < lv:  # a level between: both children test it
+            h0, l0 = split(x0, top)
+            h1, l1 = split(x1, top)
+            (h0, h1), (l0, l1) = pair(h0, h1, k), pair(l0, l1, k)
+            lv = top
+        else:
+            h0, l0 = split(x0, lv)
+            h1, l1 = split(x1, lv)
+            if p:
+                h0, h1 = pair(h0, h1, k + 1)
+            else:
+                l0, l1 = pair(l0, l1, k + 1)
+        r = mk(lv, h0, l0), mk(lv, h1, l1)
+        memo[key] = r
+        return r
+
+    def walk(x: Node, k: int) -> Node:
+        if x.value == 0:
+            return x
+        key = (x.idx, k)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        lv, p = above[k]
+        if x.level < lv:
+            r = mk(x.level, walk(x.hi, k), walk(x.lo, k))
+        else:
+            hi, lo = split(x, lv)
+            if p is None:
+                new0, new1 = pair(lo, hi, 0)
+                r = mk(lv, new1, new0)
+            elif p:
+                r = mk(lv, walk(hi, k + 1), lo)
+            else:
+                r = mk(lv, hi, walk(lo, k + 1))
+        memo[key] = r
+        return r
+
+    root = walk(root, 0)
+    del walk, pair
+    return root
+
+
+def apply_one_target(rho: QuIDD, op) -> QuIDD:
+    """``sum_k K_k rho K_k+`` for a gate or channel ``op`` with one
+    target wire, by walks over ``rho``: per Kraus operator ``K``, a walk
+    of the row levels with ``K`` gives ``K~ rho`` (``K~``: ``K`` on the
+    target where the controls fire, identity elsewhere), and one of its
+    column levels with ``conj(K)`` gives ``K~ rho K~+``. The terms are
+    summed with ``linalg.add``."""
+    if len(op.targets) != 1:
+        raise ValueError(f"{op!r} does not have exactly one target")
+    for q in op.qubits:
+        if not 0 <= q < rho.n_qubits:
+            raise CircuitError(
+                f"qubit {q} out of range for {rho.n_qubits} qubit(s)")
+    mgr = rho.manager
+    (target,) = op.targets
+    total = None
+    for k in op.kraus:
+        root = _walk_side(mgr, rho.root, k, target, op.controls, 0)
+        root = _walk_side(mgr, root, k.conj(), target, op.controls, 1)
+        term = linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
         total = term if total is None else linalg.add(total, term)
     return total
 
@@ -529,8 +652,11 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     ``max(dd.FLOOR, dd.K * kept)`` nodes (``kept``: the nodes the last
     collection kept). Collection never changes a result.
 
-    A layer of gates (see the module docstring) is applied at its last
-    step; its earlier steps record ``nodes=None`` and ``wall_ms=0.0``.
+    A lone gate or channel on one target wire is applied by walks over
+    the state; a layer of gates, a multi-target gate or channel by its
+    cached operators (see the module docstring). A layer is applied at
+    its last step; its earlier steps record ``nodes=None`` and
+    ``wall_ms=0.0``.
     """
     t_start = time.perf_counter()
     validate(circuit)
@@ -555,12 +681,15 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
                 pass  # applied with the rest of its layer
             elif isinstance(op, (Gate, Channel)):
                 unit = circuit.ops[layer_from:layer_to]
-                key = tuple(u.key() for u in unit)
-                built = op_cache.get(key)
-                if built is None:
-                    built = _unit_operators(mgr, unit, rho.n_qubits)
-                    op_cache[key] = built
-                rho = apply_channel(rho, built)
+                if len(unit) == 1 and len(op.targets) == 1:
+                    rho = apply_one_target(rho, op)
+                else:
+                    key = tuple(u.key() for u in unit)
+                    built = op_cache.get(key)
+                    if built is None:
+                        built = _unit_operators(mgr, unit, rho.n_qubits)
+                        op_cache[key] = built
+                    rho = apply_channel(rho, built)
             elif isinstance(op, Measure):
                 if op.sample:
                     outcome, rho, p0, p1 = sample_measure(rho, op.qubit, rng)

@@ -29,7 +29,10 @@ for the ``R``/``C`` labels used in DOT output.
 Every recursive operation caches its results in a computed table owned
 by the manager, always. One memoized rebuild walk (``rebuild``) both
 maps terminal values and moves levels; ``map_terminals`` and
-``shift_variables`` are calls of it. ``collect(roots)`` drops every
+``shift_variables`` are calls of it. One apply combines two diagrams
+pointwise through a binary op, with extra constant operands cached
+alongside it: ``apply(f, g, LINCOMB, (c0, c1))`` is ``c0·f + c1·g``,
+the step a gate walk takes at its target. ``collect(roots)`` drops every
 internal node not reachable from ``roots`` from the unique table,
 together with the whole computed table; a dropped node is foreign to the
 manager from then on. Terminals are never collected, so every value
@@ -66,6 +69,7 @@ __all__ = [
     "ADD",
     "MUL",
     "CONJ",
+    "LINCOMB",
     "row_var",
     "col_var",
     "var_name",
@@ -105,6 +109,12 @@ MUL = operator.mul
 
 def CONJ(value: complex) -> complex:
     return value.conjugate()
+
+
+def LINCOMB(u: complex, v: complex, c0: complex, c1: complex) -> complex:
+    """``c0·u + c1·v``: the binary op of a linear combination, with the
+    coefficients as ``apply``'s ``args``."""
+    return c0 * u + c1 * v
 
 
 class DDError(Exception):
@@ -299,26 +309,50 @@ class DDManager:
 
     # -- operations ---------------------------------------------------------
 
-    def apply(self, f: Node, g: Node, op: Callable[[complex, complex], complex]) -> Node:
-        """Combine two diagrams pointwise with a binary terminal op.
+    def apply(self, f: Node, g: Node, op: Callable[..., complex],
+              args: tuple = ()) -> Node:
+        """Combine two diagrams pointwise: each pair of terminal values
+        ``u, v`` becomes ``op(u, v, *args)``.
 
         Standard recursive apply: descend the smaller level of the two
         operands (both when equal), combine terminal values at the bottom.
-        Cached on ``(op, f, g)``. ``ADD`` and ``MUL`` get algebraic
-        shortcuts (0 annihilates / 1 is neutral for MUL, 0 is neutral for
-        ADD); the shortcuts return identical canonical nodes to the
+        Cached on ``(op, args, f, g)``. ``ADD``, ``MUL`` and ``LINCOMB``
+        get algebraic shortcuts: 0 annihilates and 1 is neutral for MUL,
+        0 is neutral for ADD, and for ``LINCOMB`` with ``args = (c0,
+        c1)`` a term whose coefficient or operand is 0 drops out, a
+        coefficient 1 keeps its operand as it is, one other coefficient
+        scales its operand through :meth:`rebuild`, and ``(1, 1)`` is
+        ``ADD``. The shortcuts return identical canonical nodes to the
         un-shortcut recursion.
         """
         self._check_owned(f)
         self._check_owned(g)
-        return self._apply(f, g, op)
+        return self._apply(f, g, op, args)
 
-    def _apply(self, f, g, op):
+    def _scale(self, f: Node, c: complex) -> Node:
+        # c·f, as LINCOMB's recursion would build it from one term.
+        if c == 1:
+            return f
+        if c == 0:
+            return self.terminal(0.0)
+        return self._rebuild(f, MUL, (c,), 0, 0)
+
+    def _apply(self, f, g, op, args=()):
+        if op is LINCOMB:
+            c0, c1 = args
+            if c0 == 0:
+                return self._scale(g, c1)
+            if c1 == 0:
+                return self._scale(f, c0)
+            if c0 == 1 and c1 == 1:
+                op, args = ADD, ()
         cache = self._cache
         mk = self.mk_internal
         term = self.terminal
+        scale = self._scale
         is_mul = op is MUL
         is_add = op is ADD
+        is_lin = op is LINCOMB
         TL = TERMINAL_LEVEL
 
         def rec(a, b):
@@ -333,8 +367,10 @@ class DDManager:
                         return b
                 elif is_add and a.value == 0:
                     return b
+                elif is_lin and a.value == 0:
+                    return scale(b, c1)
                 if bl == TL:
-                    return term(op(a.value, b.value))
+                    return term(op(a.value, b.value, *args))
             if bl == TL:
                 if is_mul:
                     v = b.value
@@ -344,7 +380,9 @@ class DDManager:
                         return a
                 elif is_add and b.value == 0:
                     return a
-            key = ("ap", op, a.idx, b.idx)
+                elif is_lin and b.value == 0:
+                    return scale(a, c0)
+            key = ("ap", op, args, a.idx, b.idx)
             hit = cache.get(key)
             if hit is not None:
                 return hit
@@ -375,6 +413,9 @@ class DDManager:
         cross an unmoved one; both surface as :class:`OrderingError`.
         """
         self._check_owned(f)
+        return self._rebuild(f, op, args, threshold, delta)
+
+    def _rebuild(self, f, op, args, threshold, delta):
         if op is None and delta == 0:
             return f
         cache = self._cache

@@ -87,6 +87,14 @@ def _identity_deviation(matrices) -> float:
     return err if math.isfinite(err) else math.inf
 
 
+def _polarity(p) -> int:
+    """A control polarity: 0 or 1 as an integer; 0.5 is a ValueError
+    and a float 1.0 a TypeError, as a float wire is."""
+    if p not in (0, 1):
+        raise ValueError("control polarity must be 0 or 1")
+    return operator.index(p)
+
+
 @dataclass(eq=False)
 class Gate:
     """A unitary applied to ``targets``, gated by ``controls``."""
@@ -98,7 +106,7 @@ class Gate:
 
     def __post_init__(self):
         self.targets = tuple(operator.index(q) for q in self.targets)
-        self.controls = tuple((operator.index(q), int(p))
+        self.controls = tuple((operator.index(q), _polarity(p))
                               for q, p in self.controls)
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if len(set(self.targets)) != len(self.targets):
@@ -108,9 +116,6 @@ class Gate:
             raise ValueError("duplicate control qubits")
         if set(control_qubits) & set(self.targets):
             raise ValueError("control and target qubits overlap")
-        for _, pol in self.controls:
-            if pol not in (0, 1):
-                raise ValueError("control polarity must be 0 or 1")
         if self.matrix.shape != (1 << len(self.targets),) * 2:
             raise ValueError(
                 f"payload {self.matrix.shape} does not match "

@@ -16,6 +16,7 @@ from quiddsim import dd
 from quiddsim.dd import (
     ADD,
     CONJ,
+    LINCOMB,
     MUL,
     DDError,
     DDManager,
@@ -256,6 +257,44 @@ def test_apply_rejects_foreign_nodes():
     m1, m2 = DDManager(2), DDManager(2)
     with pytest.raises(DDError):
         m1.apply(m1.terminal(1.0), m2.terminal(1.0), ADD)
+
+
+def test_apply_lincomb_is_pointwise_and_cached():
+    rng = np.random.default_rng(11)
+    mgr = DDManager(6)
+    c0, c1 = 0.5 - 2j, 3.0
+    for _ in range(6):
+        f = rand_diagram(mgr, rng, 0, 6, stop=0.2)
+        g = rand_diagram(mgr, rng, 0, 6, stop=0.2)
+        r = mgr.apply(f, g, LINCOMB, (c0, c1))
+        for a in all_assignments(6):
+            assert mgr.evaluate(r, a) == (c0 * mgr.evaluate(f, a)
+                                          + c1 * mgr.evaluate(g, a))
+        if f.is_terminal or g.is_terminal:
+            continue
+        assert mgr._cache[("ap", LINCOMB, (c0, c1), f.idx, g.idx)] is r
+        size, allocated = len(mgr._cache), mgr.node_count
+        assert mgr.apply(f, g, LINCOMB, (c0, c1)) is r
+        assert (len(mgr._cache), mgr.node_count) == (size, allocated)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, 0), (1, 0), (0, 1), (1, 1), (0, -1j), (0.3 - 0.7j, 0), (2, -1)])
+def test_lincomb_shortcuts_match_the_plain_recursion(coeffs):
+    # A 0 coefficient or operand drops its term, a 1 keeps its operand
+    # and (1, 1) is ADD; an op with no shortcuts builds the same nodes.
+    def plain(u, v, c0, c1):
+        return LINCOMB(u, v, c0, c1)
+
+    rng = np.random.default_rng(12)
+    mgr = DDManager(6)
+    for _ in range(10):
+        f = rand_diagram(mgr, rng, 0, 6)  # often with zero terminals
+        g = rand_diagram(mgr, rng, 0, 6)
+        assert (mgr.apply(f, g, LINCOMB, coeffs)
+                is mgr.apply(f, g, plain, coeffs))
+    if coeffs in ((1, 0), (0, 1)):
+        assert mgr.apply(f, g, LINCOMB, coeffs) is (f if coeffs[0] else g)
 
 
 def test_memoization_transparency():

@@ -99,6 +99,15 @@ def test_controlled_merges_and_keeps_polarity():
         gates.controlled(gates.x(2), [(0, 2)])  # bad polarity
 
 
+def test_polarities_are_integers_zero_or_one():
+    with pytest.raises(ValueError):  # was truncated to a polarity-0 control
+        Gate("x", (1,), PAYLOADS["x"], ((0, 0.5),))
+    with pytest.raises(TypeError):  # as a float wire is
+        Gate("x", (1,), PAYLOADS["x"], ((0, 1.0),))
+    g = Gate("x", (1,), PAYLOADS["x"], ((0, np.int64(1)),))
+    assert g.controls == ((0, 1),) and type(g.controls[0][1]) is int
+
+
 def test_u1_accepts_any_unitary():
     theta = 0.37
     m = np.array([[math.cos(theta), -math.sin(theta)],

@@ -11,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_circuit, random_unitary
 from quiddsim import gates
-from quiddsim.circuit import apply_gate, build_operator, run
+from quiddsim.circuit import (
+    _unit_operators,
+    apply_channel,
+    apply_gate,
+    apply_one_target,
+    build_operator,
+    run,
+)
 from quiddsim.lang import (
     AssertProbStmt,
     ChannelStmt,
@@ -101,6 +108,55 @@ def test_partial_trace_commutes_with_gates_elsewhere(seed, n, depth, data):
     trace_first = apply_gate(partial_trace(rho, q),
                              build_operator(mgr, moved, n - 1))
     assert np.abs(to_dense(gate_first) - to_dense(trace_first)).max() <= 1e-12
+
+
+def _random_kraus_pair(rng):
+    """Two non-unitary 2x2 Kraus operators with ``sum K+K = I``."""
+    v = random_unitary(rng, 4)[:, :2]  # orthonormal columns
+    return v[:2], v[2:]
+
+
+def _control_sets(rng, target, n):
+    """No controls, then up to 3 above, below and on both sides of
+    ``target`` where the width allows, at random polarities."""
+    above, below = list(range(target)), list(range(target + 1, n))
+
+    def pick(wires, k):
+        return [int(w) for w in rng.permutation(wires)[:k]]
+
+    sets = [[]]
+    for side in (above, below):
+        if side:
+            sets.append(pick(side, int(rng.integers(1, min(3, len(side)) + 1))))
+    if above and below:
+        both = pick(above, 1) + pick(below, 1)
+        rest = [w for w in above + below if w not in both]
+        sets.append(both + pick(rest, int(rng.integers(0, 2))))
+    return [tuple((w, int(rng.integers(0, 2))) for w in s) for s in sets]
+
+
+@FIXED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       depth=st.integers(0, 8), data=st.data())
+def test_one_target_walk_matches_operator_path(seed, n, depth, data):
+    """Walking a one-target gate or channel over the state gives what
+    multiplying by its operators gives."""
+    rng, rho = _random_state(seed, n, depth)
+    mgr = rho.manager
+    target = data.draw(st.integers(0, n - 1))
+    payloads = [random_unitary(rng, 2)] + [gates.PAYLOADS[name]
+                                           for name in "xzs"]
+    for controls in _control_sets(rng, target, n):
+        for payload in payloads:
+            g = gates.Gate("u", (target,), payload, controls)
+            want = apply_gate(rho, build_operator(mgr, g, n))
+            got = apply_one_target(rho, g)
+            assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
+    for ch in (gates.bit_flip(target, 0.3), gates.phase_flip(target, 0.2),
+               gates.kraus_channel((target,), _random_kraus_pair(rng))):
+        want = apply_channel(rho, _unit_operators(mgr, [ch], n))
+        got = apply_one_target(rho, ch)
+        assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
 
 
 # Fragments of the language and characters that have tripped the lexer,
