@@ -95,13 +95,12 @@ COLLAPSE_TOL = 1e-12
 # channel, a measurement and a partial trace still run at 480 qubits and
 # fail at 500. This leaves room for the callers' own stack frames.
 MAX_QUBITS = 400
-# Most gates applied as one layer. ``_multiply_nodes`` computes a block
-# core unscaled and multiplies it by 2^(top-k) afterwards, but the core's
-# components below dd.ZERO_EPS (1e-12) are already snapped to zero by
-# then. A layer of W wires lets both operands skip up to W summation
-# levels, so that snap error grows up to 2^W * ZERO_EPS: 2^8 * 1e-12 is
-# about 2.6e-10, below the 1e-9 results are pinned to. Uncapped, the
-# first 81 steps of a 15-qubit Grover search are off by about 4e-9.
+# Most gates applied as one layer. The cap bounds a layer's size: k
+# generic ``u1`` payloads make a layer of 2^(2k+1)-1 nodes (131,071 at
+# k = 8). Wider layers also cost accuracy: the first 81 steps of a
+# 15-qubit Grover search as one layer per run of gates end about 4e-9
+# off, because a block sum of the multiply below dd.ZERO_EPS snaps to
+# zero and every entry built on it inherits that error.
 LAYER_WIRES = 8
 
 

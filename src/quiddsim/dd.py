@@ -32,20 +32,27 @@ maps terminal values and moves levels; ``map_terminals`` and
 ``shift_variables`` are calls of it. One apply combines two diagrams
 pointwise through a binary op, with extra constant operands cached
 alongside it: ``apply(f, g, LINCOMB, (c0, c1))`` is ``c0·f + c1·g``,
-the step a gate walk takes at its target. ``collect(roots)`` drops every
-internal node not reachable from ``roots`` from the unique table,
-together with the whole computed table; a dropped node is foreign to the
-manager from then on. Terminals are never collected, so every value
-keeps the cell claimant it had, and a result computed again after a
-collection has the same structure and the same terminal nodes as the one
-dropped; a kept result is the same node. A node's ``idx`` is never
-reused. The manager is not thread-safe; share nothing or lock
-externally.
+the step a gate walk takes at its target. Its one recursion is built by
+``_applier`` once per operation: once per ``apply`` call, and once per
+matrix multiply for all of that multiply's block sums. Apply results are
+keyed by a string tag for the kernel's ops, and for ``ADD`` and ``MUL``
+in either operand order alike (see :meth:`DDManager.apply`).
 
-Recursive walks are closures that refer to themselves, and through their
-locals to the manager. Each walk deletes its name once it returns, which
-breaks that cycle, so a finished manager is freed at once rather than
-when the cyclic collector next runs.
+``collect(roots)`` drops every internal node not reachable from ``roots``
+from the unique table, together with the whole computed table; a
+dropped node is foreign to the manager from then on. Terminals are never
+collected, so every value keeps the cell claimant it had, and a result
+computed again after a collection has the same structure and the same
+terminal nodes as the one dropped; a kept result is the same node. A
+node's ``idx`` is never reused. The manager is not thread-safe; share
+nothing or lock externally.
+
+Recursive walks are closures that refer, through their locals, to the
+manager. A closure that calls itself by name would also refer to itself,
+a cycle that only the cyclic collector frees. Each walk deletes its name
+once it returns; the apply recursion, which outlives one call, takes
+itself as its first argument instead. Either way a finished manager is
+freed at once rather than when the cyclic collector next runs.
 """
 
 from __future__ import annotations
@@ -115,6 +122,12 @@ def LINCOMB(u: complex, v: complex, c0: complex, c1: complex) -> complex:
     """``c0·u + c1·v``: the binary op of a linear combination, with the
     coefficients as ``apply``'s ``args``."""
     return c0 * u + c1 * v
+
+
+# How apply and rebuild keys name the kernel's own ops. A key made of
+# strings, ints and tuples of complex numbers holds nothing the cyclic
+# collector must follow; any other op keeps its callable in the key.
+_OP_TAGS = {ADD: "add", MUL: "mul", LINCOMB: "lincomb", CONJ: "conj"}
 
 
 class DDError(Exception):
@@ -316,7 +329,15 @@ class DDManager:
 
         Standard recursive apply: descend the smaller level of the two
         operands (both when equal), combine terminal values at the bottom.
-        Cached on ``(op, args, f, g)``. ``ADD``, ``MUL`` and ``LINCOMB``
+        The recursion is built once for the call (:meth:`_applier`) and
+        caches each pair on ``(tag, args, f.idx, g.idx)``. The tag is
+        ``"add"``, ``"mul"`` or ``"lincomb"`` for the kernel's ops and
+        the callable itself for any other, so the kernel's keys hold
+        only strings, ints and complex numbers, which the cyclic
+        collector stops tracking. IEEE ``+`` and ``×`` are commutative,
+        so for ``ADD`` and ``MUL`` the swapped pair is the same node: the
+        smaller ``idx`` comes first and ``apply(g, f)`` finds the entry
+        ``apply(f, g)`` made. ``ADD``, ``MUL`` and ``LINCOMB``
         get algebraic shortcuts: 0 annihilates and 1 is neutral for MUL,
         0 is neutral for ADD, and for ``LINCOMB`` with ``args = (c0,
         c1)`` a term whose coefficient or operand is 0 drops out, a
@@ -338,6 +359,8 @@ class DDManager:
         return self._rebuild(f, MUL, (c,), 0, 0)
 
     def _apply(self, f, g, op, args=()):
+        # LINCOMB's shortcuts run before the recursion is built: a gate
+        # walk's combinations often end in them.
         if op is LINCOMB:
             c0, c1 = args
             if c0 == 0:
@@ -346,6 +369,18 @@ class DDManager:
                 return self._scale(f, c0)
             if c0 == 1 and c1 == 1:
                 op, args = ADD, ()
+        rec = self._applier(op, args)
+        return rec(rec, f, g)
+
+    def _applier(self, op, args=()):
+        """The memoized recursion of ``apply`` for ``op`` and ``args``,
+        called as ``rec(rec, f, g)``.
+
+        It takes itself as its first argument rather than through a
+        closure cell, so it holds no reference to itself and is freed
+        with its last caller. Callers that combine many pairs through one
+        op, such as the block sums of a multiply, build it once.
+        """
         cache = self._cache
         mk = self.mk_internal
         term = self.terminal
@@ -353,9 +388,12 @@ class DDManager:
         is_mul = op is MUL
         is_add = op is ADD
         is_lin = op is LINCOMB
+        order_free = is_mul or is_add
+        tag = _OP_TAGS.get(op, op)
+        c0, c1 = args if is_lin else (None, None)
         TL = TERMINAL_LEVEL
 
-        def rec(a, b):
+        def rec(rec, a, b):
             al = a.level
             bl = b.level
             if al == TL:
@@ -382,7 +420,12 @@ class DDManager:
                     return a
                 elif is_lin and b.value == 0:
                     return scale(a, c0)
-            key = ("ap", op, args, a.idx, b.idx)
+            i = a.idx
+            j = b.idx
+            if order_free and j < i:
+                key = (tag, args, j, i)
+            else:
+                key = (tag, args, i, j)
             hit = cache.get(key)
             if hit is not None:
                 return hit
@@ -394,13 +437,11 @@ class DDManager:
                 bt, be = b.hi, b.lo
             else:
                 bt, be = b, b
-            r = mk(lv, rec(at, bt), rec(ae, be))
+            r = mk(lv, rec(rec, at, bt), rec(rec, ae, be))
             cache[key] = r
             return r
 
-        root = rec(f, g)
-        del rec
-        return root
+        return rec
 
     def rebuild(self, f: Node, op: Callable[..., complex] | None = None,
                 args: tuple = (), threshold: int = 0, delta: int = 0) -> Node:
@@ -408,7 +449,8 @@ class DDManager:
         ``delta`` and, given ``op``, each terminal value ``v`` replaced by
         ``op(v, *args)``.
 
-        Cached on ``(op, args, threshold, delta)``. Moved levels must
+        Cached on ``(op, args, threshold, delta)``, with the kernel's ops
+        named by the same string tags as in :meth:`apply`. Moved levels must
         stay inside the manager's capacity and may not collide with or
         cross an unmoved one; both surface as :class:`OrderingError`.
         """
@@ -422,13 +464,14 @@ class DDManager:
         mk = self.mk_internal
         term = self.terminal
         num_vars = self.num_vars
+        tag = _OP_TAGS.get(op, op)
         TL = TERMINAL_LEVEL
 
         def rec(a):
             lv = a.level
             if lv == TL:
                 return a if op is None else term(op(a.value, *args))
-            key = ("rb", op, args, threshold, delta, a.idx)
+            key = ("rb", tag, args, threshold, delta, a.idx)
             hit = cache.get(key)
             if hit is not None:
                 return hit

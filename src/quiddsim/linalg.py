@@ -11,7 +11,11 @@ decomposition for algebraic decision diagrams: at each qubit the operands
 split into four cofactors over (row bit, summation bit) and (summation
 bit, column bit), the four result blocks are sums of two recursive
 products, and whenever both operands skip a summation variable the result
-picks up a factor of two. Block products with a zero factor and block
+picks up a factor of two. The recursion carries the exponent of those
+factors, as part of its memo key, down to the terminals, which it
+scales once; no walk rescales a finished block. Every block sum of one
+multiply goes through one ``ADD`` recursion of the manager's apply,
+built once for that multiply. Block products with a zero factor and block
 sums with a zero product are skipped, not computed: the zero node times
 anything is the zero node, and adding it returns the other operand, so
 skipping them leaves every result node, and the order in which nodes are
@@ -363,11 +367,14 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
 
     ``a``'s column variables and ``b``'s row variables play the role of
     the summation index. Each qubit level contributes four block sums;
-    summation variables skipped by both operands double the result, which
-    the factor ``2^(top-k)`` (and ``2^(n-k)`` at the terminals) accounts
-    for in one step. The block expansion itself is cached on the
-    operand pair; the skip factor is applied outside the memo so the
-    cached value is position-independent.
+    summation variables skipped by both operands double the result. The
+    recursion carries the exponent ``e`` of the levels skipped so far,
+    adds the gap to the next tested level to it, and scales only at the
+    terminals, by ``2^(e + n - k)``. So no value is keyed or snapped to
+    zero before it is fully scaled, and no walk rescales a finished
+    block. The exponent is part of the memo key, ``("mm", n, e, a.idx,
+    b.idx)``. All block sums go through one ``ADD`` recursion, built
+    once for the multiply.
 
     Zero products and zero sums are skipped, and both skips are exact. A
     product with a zero factor is the zero node and allocates nothing,
@@ -379,10 +386,10 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
     cache = mgr._cache
     term = mgr.terminal
     mk = mgr.mk_internal
-    ap = mgr._apply
+    add = mgr._applier(ADD)
     TL = TERMINAL_LEVEL
 
-    def mm(a: Node, b: Node, k: int) -> Node:
+    def mm(a: Node, b: Node, k: int, e: int) -> Node:
         al, bl = a.level, b.level
         if al == TL:
             if a.value == 0:
@@ -390,13 +397,14 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
             if bl == TL:
                 if b.value == 0:
                     return b
-                return term(a.value * b.value * (1 << (n - k)))
+                return term(a.value * b.value * (1 << (e + n - k)))
         elif bl == TL and b.value == 0:
             return b
         top = (al if al < bl else bl) // 2
-        key = ("mm", n, a.idx, b.idx)
-        core = cache.get(key)
-        if core is None:
+        e += top - k
+        key = ("mm", n, e, a.idx, b.idx)
+        r = cache.get(key)
+        if r is None:
             lr = 2 * top
             lc = lr + 1
             k1 = top + 1
@@ -406,32 +414,31 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
             b0, b1 = (b.lo, b.hi) if bl == lr else (b, b)
             b00, b01 = (b0.lo, b0.hi) if b0.level == lc else (b0, b0)
             b10, b11 = (b1.lo, b1.hi) if b1.level == lc else (b1, b1)
-            c00 = block(a00, b00, a01, b10, k1)
-            c01 = block(a00, b01, a01, b11, k1)
-            c10 = block(a10, b00, a11, b10, k1)
-            c11 = block(a10, b01, a11, b11, k1)
-            core = mk(lr, mk(lc, c11, c10), mk(lc, c01, c00))
-            cache[key] = core
-        if top > k:
-            return mgr.map_terminals(core, MUL, 1 << (top - k))
-        return core
+            c00 = block(a00, b00, a01, b10, k1, e)
+            c01 = block(a00, b01, a01, b11, k1, e)
+            c10 = block(a10, b00, a11, b10, k1, e)
+            c11 = block(a10, b01, a11, b11, k1, e)
+            r = mk(lr, mk(lc, c11, c10), mk(lc, c01, c00))
+            cache[key] = r
+        return r
 
-    def block(x0: Node, y0: Node, x1: Node, y1: Node, k: int) -> Node:
+    def block(x0: Node, y0: Node, x1: Node, y1: Node, k: int,
+              e: int) -> Node:
         # x0·y0 + x1·y1. Internal nodes hold value None, so ``.value == 0``
         # singles out the zero terminal.
         if x0.value == 0 or y0.value == 0:
-            return mm(x1, y1, k)
+            return mm(x1, y1, k, e)
         if x1.value == 0 or y1.value == 0:
-            return mm(x0, y0, k)
-        p = mm(x0, y0, k)
-        q = mm(x1, y1, k)
+            return mm(x0, y0, k, e)
+        p = mm(x0, y0, k, e)
+        q = mm(x1, y1, k, e)
         if p.value == 0:
             return q
         if q.value == 0:
             return p
-        return ap(p, q, ADD)
+        return add(add, p, q)
 
-    root = mm(a, b, 0)
+    root = mm(a, b, 0, 0)
     del mm, block
     return root
 

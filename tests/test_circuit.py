@@ -657,10 +657,27 @@ def test_run_wall_ms_covers_initial_state(engine, module, builder,
     assert stats.wall_ms >= 50
 
 
-def test_run_frees_manager_without_cyclic_collector():
+def _steane_with_bit_flip():
+    # The Steane demo with a bit-flip channel where the demo injects its
+    # X error, as perfbench's qec_noise workload builds it: besides
+    # gates, a channel walk, a sum of Kraus terms, two-gate layers and
+    # partial traces.
+    circuit = gen_code_demo("steane7")
+    with_error = gen_code_demo("steane7", ("x", 3)).ops
+    at = next(i for i, (a, b) in enumerate(zip(circuit.ops, with_error))
+              if a.key() != b.key())
+    circuit.ops.insert(at, gates.bit_flip(3, 0.2))
+    return circuit
+
+
+@pytest.mark.parametrize("make", [lambda: gen_grover(6),
+                                  _steane_with_bit_flip],
+                         ids=["grover", "steane7-bit-flip"])
+def test_run_frees_manager_without_cyclic_collector(make):
+    circuit = make()
     gc.disable()
     try:
-        r = run(gen_grover(6))
+        r = run(circuit)
         w = weakref.ref(r.rho.manager)
         del r
         assert w() is None

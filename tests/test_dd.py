@@ -243,14 +243,24 @@ def test_apply_soundness_exhaustive_eight_vars():
 
 
 def test_apply_commutative_routes_share_edge():
-    # canonicity: the same function reached two ways is the same edge
+    # canonicity: the same function reached two ways is the same edge.
+    # ADD and MUL key a pair in either order alike, so the swapped call
+    # is one computed-table hit.
     rng = np.random.default_rng(7)
     mgr = DDManager(6)
     for _ in range(10):
         f = rand_diagram(mgr, rng, 0, 6)
         g = rand_diagram(mgr, rng, 0, 6)
-        assert mgr.apply(f, g, ADD) is mgr.apply(g, f, ADD)
-        assert mgr.apply(f, g, MUL) is mgr.apply(g, f, MUL)
+        for op in (ADD, MUL):
+            r = mgr.apply(f, g, op)
+            size, allocated = len(mgr._cache), mgr.node_count
+            assert mgr.apply(g, f, op) is r
+            assert (len(mgr._cache), mgr.node_count) == (size, allocated)
+        mgr.apply(f, g, LINCOMB, (0.5, -2j))
+    assert mgr._cache
+    # The kernel's ops leave no callable in a key, for the cyclic
+    # collector to follow.
+    assert not [key for key in mgr._cache if any(map(callable, key))]
 
 
 def test_apply_rejects_foreign_nodes():
@@ -272,7 +282,7 @@ def test_apply_lincomb_is_pointwise_and_cached():
                                           + c1 * mgr.evaluate(g, a))
         if f.is_terminal or g.is_terminal:
             continue
-        assert mgr._cache[("ap", LINCOMB, (c0, c1), f.idx, g.idx)] is r
+        assert mgr._cache[("lincomb", (c0, c1), f.idx, g.idx)] is r
         size, allocated = len(mgr._cache), mgr.node_count
         assert mgr.apply(f, g, LINCOMB, (c0, c1)) is r
         assert (len(mgr._cache), mgr.node_count) == (size, allocated)

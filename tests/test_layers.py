@@ -147,9 +147,9 @@ def exact_state(c: Circuit) -> np.ndarray:
 
 
 def test_layer_width_bound_keeps_grover_accurate():
-    # Wider layers let the multiply snap larger core components to zero
-    # before it scales them (see LAYER_WIRES); uncapped, this state is
-    # off by about 4e-9.
+    # Wider layers let a block sum of the multiply fall below the zero
+    # snap, and every entry built on it inherits the error (see
+    # LAYER_WIRES); uncapped, this state is off by about 4e-9.
     c = gen_grover(15)
     c.ops = c.ops[:81]
     root = run(c).rho.root

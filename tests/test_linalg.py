@@ -312,13 +312,22 @@ def test_multiply_skips_sums_with_zero(monkeypatch):
     ops = [build_operator(mgr, g, 4) for g in (gates.cnot(1, 3), gates.h(2))]
     daggers = [conj_transpose(u) for u in ops]
     operands = []
-    apply = mgr._apply
+    applier = mgr._applier
 
-    def spy(f, g, op):
-        operands.extend((f, g))
-        return apply(f, g, op)
+    def spying_applier(op, args=()):
+        # Every block sum is one call of the ADD recursion the multiply
+        # builds; the recursion's own descent is not watched.
+        rec = applier(op, args)
+        if op is not ADD:
+            return rec
 
-    monkeypatch.setattr(mgr, "_apply", spy)
+        def spy(_, f, g):
+            operands.extend((f, g))
+            return rec(rec, f, g)
+
+        return spy
+
+    monkeypatch.setattr(mgr, "_applier", spying_applier)
     got = rho
     for u, u_dag in zip(ops, daggers):
         got = matrix_multiply(matrix_multiply(u, got), u_dag)
@@ -330,6 +339,22 @@ def test_multiply_skips_sums_with_zero(monkeypatch):
         u_dense = to_dense(u)
         want = u_dense @ want @ u_dense.conj().T
     assert np.max(np.abs(to_dense(got) - want)) <= 1e-12
+
+
+def test_multiply_scales_skipped_levels_before_the_zero_snap():
+    # A is diag(1e-7, 1e-7) on the last of 20 qubits and tests no other
+    # level, so it is constant over the other 19: each entry of A·A sums
+    # 2^19 products of 1e-14. The product of one pair is below
+    # dd.ZERO_EPS, the sum is not.
+    n = 20
+    mgr = new_manager(n)
+    t, zero = mgr.terminal(1e-7), mgr.terminal(0.0)
+    lr, lc = 2 * (n - 1), 2 * (n - 1) + 1
+    mk = mgr.mk_internal
+    a = QuIDD(mgr, mk(lr, mk(lc, t, zero), mk(lc, zero, t)), n, MATRIX)
+    got = matrix_multiply(a, a)
+    assert entry(got, 0, 0) == pytest.approx(2**19 * 1e-14, rel=1e-12)
+    assert entry(got, 1, 0) == 0
 
 
 def test_multiply_validation():
