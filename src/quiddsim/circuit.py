@@ -9,17 +9,9 @@ engine in :mod:`quiddsim.oracle` interprets the same IR independently.
 Gates and channels share one model: a gate is a channel with the single
 Kraus operator ``U``, and the state becomes ``sum_k K_k rho K_k+``.
 
-A lone gate or channel with one target wire is applied by walks over
-the state, with no operator (``apply_one_target``). Per Kraus operator
-``K``, one walk over the row levels gives ``K~ rho`` and one over the
-column levels, with ``conj(K)``, gives ``K~ rho K~+`` (``K~``: ``K`` on
-the target where the controls fire, identity elsewhere); the terms are
-then added. A walk keeps the non-firing cofactor at a control and walks
-the firing one, carries the target's cofactor pair ``(x0, x1)`` past any
-controls below the target, and makes new child ``a`` the sum
-``K[a][0]·x0 + K[a][1]·x1``, one cached ``dd.LINCOMB`` apply. A 0
-coefficient drops its term and a 1 keeps its operand node, so ``x``,
-``cnot`` and ``toffoli`` only permute cofactors.
+A lone gate or channel with one target wire is applied by one walk over
+the state, with no operator and no ``K·rho`` intermediate; the
+``apply_one_target`` docstring describes the walk.
 
 Every other unit goes through full n-qubit operator diagrams, cached per
 unit within a run, and two matrix multiplications per Kraus operator:
@@ -52,7 +44,7 @@ import numpy as np
 
 from . import dd, linalg
 from ._rng import XorShift64Star
-from .dd import LINCOMB, MUL, DDManager, Node, count_nodes
+from .dd import ADD, LINCOMB, MUL, DDManager, Node, count_nodes
 from .gates import Channel, Gate
 from .linalg import MATRIX, QuIDD, new_manager
 
@@ -411,92 +403,27 @@ def apply_channel(rho: QuIDD, operators: list[QuIDD]) -> QuIDD:
     return total
 
 
-def _walk_side(mgr: DDManager, root: Node, matrix: np.ndarray, target: int,
-               controls, side: int) -> Node:
-    """``root`` with the 2x2 ``matrix`` applied to its row (``side`` 0)
-    or column (``side`` 1) bits at ``target``, where ``controls`` fire.
-
-    Above the target, a control level keeps the non-firing cofactor and
-    walks the firing one. The target level splits into the cofactors
-    ``x0`` and ``x1``, and new child ``a`` is ``matrix[a][0]·x0 +
-    matrix[a][1]·x1``, one ``LINCOMB`` apply. Controls below the target
-    are passed with the pair: child ``a`` keeps ``x_a``'s non-firing
-    cofactor there and combines the firing ones. A node that skips a
-    level stands for both of its cofactors. A zero block stays zero.
-    """
-    above = sorted((2 * q + side, p) for q, p in controls if q < target)
-    above.append((2 * target + side, None))
-    below = sorted((2 * q + side, p) for q, p in controls if q > target)
-    c0, c1 = [(complex(row[0]), complex(row[1])) for row in matrix]
-    mk = mgr.mk_internal
-    ap = mgr._apply
-    memo: dict = {}
-
-    def split(x: Node, lv: int):
-        return (x.hi, x.lo) if x.level == lv else (x, x)
-
-    def pair(x0: Node, x1: Node, k: int):
-        # The target's new children (0, 1), past the controls below[k:].
-        if k == len(below):
-            return ap(x0, x1, LINCOMB, c0), ap(x0, x1, LINCOMB, c1)
-        if x0.value == 0 and x1.value == 0:
-            return x0, x0
-        key = (x0.idx, x1.idx, k)
-        r = memo.get(key)
-        if r is not None:
-            return r
-        lv, p = below[k]
-        top = min(x0.level, x1.level)
-        if top < lv:  # a level between: both children test it
-            h0, l0 = split(x0, top)
-            h1, l1 = split(x1, top)
-            (h0, h1), (l0, l1) = pair(h0, h1, k), pair(l0, l1, k)
-            lv = top
-        else:
-            h0, l0 = split(x0, lv)
-            h1, l1 = split(x1, lv)
-            if p:
-                h0, h1 = pair(h0, h1, k + 1)
-            else:
-                l0, l1 = pair(l0, l1, k + 1)
-        r = mk(lv, h0, l0), mk(lv, h1, l1)
-        memo[key] = r
-        return r
-
-    def walk(x: Node, k: int) -> Node:
-        if x.value == 0:
-            return x
-        key = (x.idx, k)
-        r = memo.get(key)
-        if r is not None:
-            return r
-        lv, p = above[k]
-        if x.level < lv:
-            r = mk(x.level, walk(x.hi, k), walk(x.lo, k))
-        else:
-            hi, lo = split(x, lv)
-            if p is None:
-                new0, new1 = pair(lo, hi, 0)
-                r = mk(lv, new1, new0)
-            elif p:
-                r = mk(lv, walk(hi, k + 1), lo)
-            else:
-                r = mk(lv, hi, walk(lo, k + 1))
-        memo[key] = r
-        return r
-
-    root = walk(root, 0)
-    del walk, pair
-    return root
-
-
 def apply_one_target(rho: QuIDD, op) -> QuIDD:
-    """``sum_k K_k rho K_k+`` for a gate or channel ``op`` with one
-    target wire, by walks over ``rho``: per Kraus operator ``K``, a walk
-    of the row levels with ``K`` gives ``K~ rho`` (``K~``: ``K`` on the
-    target where the controls fire, identity elsewhere), and one of its
-    column levels with ``conj(K)`` gives ``K~ rho K~+``. The terms are
-    summed with ``linalg.add``."""
+    """``sum_k K~_k rho K~_k+`` for a gate or channel ``op`` with one
+    target wire, by one memoized walk over ``rho`` (``K~``: the Kraus
+    operator ``K`` on the target where the controls fire, identity
+    elsewhere).
+
+    Above the target the walk carries two flags, "row side live" and
+    "column side live". At a control's row level the non-firing cofactor
+    clears the row flag, at its column level the column flag; a node with
+    both flags clear is kept as it is. The target's row and column levels
+    split a node into its four cofactors ``x_rc``, which are carried
+    together past the controls below the target, with the same flags. At
+    the bottom each Kraus operator ``K`` gives ``y_ad = K[a][0]·x_0d +
+    K[a][1]·x_1d`` if the row side is live, then ``z_ab =
+    conj(K[b][0])·y_a0 + conj(K[b][1])·y_a1`` if the column side is, each
+    one cached ``LINCOMB`` apply, and the Kraus terms are summed cell by
+    cell with ``ADD``. A node that skips a level stands for both of its
+    cofactors; a zero block stays zero. A 0 coefficient drops its term
+    and a 1 keeps its operand node, so ``x``, ``cnot`` and ``toffoli``
+    only permute cofactors and allocate nothing but their result.
+    """
     if len(op.targets) != 1:
         raise ValueError(f"{op!r} does not have exactly one target")
     for q in op.qubits:
@@ -505,13 +432,103 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
                 f"qubit {q} out of range for {rho.n_qubits} qubit(s)")
     mgr = rho.manager
     (target,) = op.targets
-    total = None
-    for k in op.kraus:
-        root = _walk_side(mgr, rho.root, k, target, op.controls, 0)
-        root = _walk_side(mgr, root, k.conj(), target, op.controls, 1)
-        term = linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
-        total = term if total is None else linalg.add(total, term)
-    return total
+    rt, ct = 2 * target, 2 * target + 1
+    # Each control level with the flags its hi and lo cofactors keep:
+    # (level, row_hi, col_hi, row_lo, col_lo). A control's row level
+    # clears the row flag where it does not fire, its column level the
+    # column flag.
+    levels = sorted(
+        [(2 * q, p == 1, True, p == 0, True) for q, p in op.controls]
+        + [(2 * q + 1, True, p == 1, True, p == 0) for q, p in op.controls])
+    above = [c for c in levels if c[0] < rt]
+    above.append((rt, True, True, True, True))
+    below = [c for c in levels if c[0] > ct]
+    # Per Kraus operator: the rows of K, then the rows of conj(K).
+    kraus = [tuple((complex(row[0]), complex(row[1]))
+                   for row in (k[0], k[1], k[0].conj(), k[1].conj()))
+             for k in op.kraus]
+    mk = mgr.mk_internal
+    ap = mgr._apply
+    memo: dict = {}
+
+    def cells(x00, x01, x10, x11, row, col):
+        # The target's new cells: the Kraus terms, summed.
+        sums = None
+        for r0, r1, c0, c1 in kraus:
+            y00, y01, y10, y11 = x00, x01, x10, x11
+            if row:
+                y00, y10 = ap(x00, x10, LINCOMB, r0), ap(x00, x10, LINCOMB, r1)
+                y01, y11 = ap(x01, x11, LINCOMB, r0), ap(x01, x11, LINCOMB, r1)
+            if col:
+                y00, y01 = ap(y00, y01, LINCOMB, c0), ap(y00, y01, LINCOMB, c1)
+                y10, y11 = ap(y10, y11, LINCOMB, c0), ap(y10, y11, LINCOMB, c1)
+            if sums is not None:
+                s00, s01, s10, s11 = sums
+                y00, y01 = ap(s00, y00, ADD), ap(s01, y01, ADD)
+                y10, y11 = ap(s10, y10, ADD), ap(s11, y11, ADD)
+            sums = y00, y01, y10, y11
+        return sums
+
+    # Both walks split nodes inline, without a helper: the split runs for
+    # every entry of a walk, and a call per split costs about 8 % of a
+    # noisy Steane run.
+    def quad(x00, x01, x10, x11, k, row, col):
+        # The target's four cells, past the controls below[k:].
+        if not (row or col) or (x00 is x01 is x10 is x11
+                                and x00.value == 0):
+            return x00, x01, x10, x11
+        key = (x00.idx, x01.idx, x10.idx, x11.idx, k, row, col)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        if k == len(below):
+            r = cells(x00, x01, x10, x11, row, col)
+        else:
+            lv, rh, ch, rl, cl = below[k]
+            top = min(x00.level, x01.level, x10.level, x11.level)
+            if top < lv:  # a level between: every cell tests it
+                lv = top
+                rh, ch, rl, cl = row, col, row, col
+            else:
+                k += 1
+                rh, ch, rl, cl = row and rh, col and ch, row and rl, col and cl
+            h00, l00 = (x00.hi, x00.lo) if x00.level == lv else (x00, x00)
+            h01, l01 = (x01.hi, x01.lo) if x01.level == lv else (x01, x01)
+            h10, l10 = (x10.hi, x10.lo) if x10.level == lv else (x10, x10)
+            h11, l11 = (x11.hi, x11.lo) if x11.level == lv else (x11, x11)
+            h00, h01, h10, h11 = quad(h00, h01, h10, h11, k, rh, ch)
+            l00, l01, l10, l11 = quad(l00, l01, l10, l11, k, rl, cl)
+            r = (mk(lv, h00, l00), mk(lv, h01, l01),
+                 mk(lv, h10, l10), mk(lv, h11, l11))
+        memo[key] = r
+        return r
+
+    def walk(x: Node, k: int, row: bool, col: bool) -> Node:
+        if x.value == 0 or not (row or col):
+            return x
+        key = (x.idx, k, row, col)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        lv, rh, ch, rl, cl = above[k]
+        if x.level < lv:
+            r = mk(x.level, walk(x.hi, k, row, col), walk(x.lo, k, row, col))
+        elif lv == rt:
+            hi, lo = (x.hi, x.lo) if x.level == rt else (x, x)
+            x11, x10 = (hi.hi, hi.lo) if hi.level == ct else (hi, hi)
+            x01, x00 = (lo.hi, lo.lo) if lo.level == ct else (lo, lo)
+            z00, z01, z10, z11 = quad(x00, x01, x10, x11, 0, row, col)
+            r = mk(rt, mk(ct, z11, z10), mk(ct, z01, z00))
+        else:
+            hi, lo = (x.hi, x.lo) if x.level == lv else (x, x)
+            r = mk(lv, walk(hi, k + 1, row and rh, col and ch),
+                   walk(lo, k + 1, row and rl, col and cl))
+        memo[key] = r
+        return r
+
+    root = walk(rho.root, 0, True, True)
+    del walk, quad
+    return linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
 
 
 # -- measurement ------------------------------------------------------------
@@ -651,11 +668,12 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     ``max(dd.FLOOR, dd.K * kept)`` nodes (``kept``: the nodes the last
     collection kept). Collection never changes a result.
 
-    A lone gate or channel on one target wire is applied by walks over
-    the state; a layer of gates, a multi-target gate or channel by its
-    cached operators (see the module docstring). A layer is applied at
-    its last step; its earlier steps record ``nodes=None`` and
-    ``wall_ms=0.0``.
+    A lone gate or channel on one target wire is applied by one walk
+    over the state; a layer of gates, a multi-target gate or channel by
+    its cached operators (see the module docstring). A layer is applied
+    at its last step; its earlier steps record ``nodes=None`` and
+    ``wall_ms=0.0``. A step that leaves the state's root node as it was
+    reuses the last node count, which depends on the root alone.
     """
     t_start = time.perf_counter()
     validate(circuit)
@@ -666,7 +684,8 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     prints: list[tuple[int, str]] = []
     steps: list[StepStat] = []
     op_cache: dict = {}
-    peak = count_nodes(rho.root)
+    counted, nodes = rho.root, count_nodes(rho.root)  # last root counted
+    peak = nodes
     kept = 0  # nodes kept by the last collection
     layer_from = layer_to = 0  # ops[layer_from:layer_to] is the unit
 
@@ -737,8 +756,9 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
         if step < layer_to - 1:
             steps.append(StepStat(step, describe(op), None, 0.0))
             continue
-        nodes = count_nodes(rho.root)
-        peak = max(peak, nodes)
+        if rho.root is not counted:
+            counted, nodes = rho.root, count_nodes(rho.root)
+            peak = max(peak, nodes)
         steps.append(StepStat(step, describe(op), nodes,
                               (time.perf_counter() - t0) * 1e3))
 

@@ -220,6 +220,28 @@ def test_apply_gate_hh_on_01_projector():
     assert np.max(np.abs(d - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("gate", [
+    gates.x(2),
+    gates.cnot(1, 3),
+    gates.cnot(4, 2),
+    gates.controlled(gates.x(2), [(0, 0), (1, 1), (4, 0)]),
+], ids=["x", "cnot-above", "cnot-below", "toffoli-mixed"])
+def test_permutation_gate_allocates_only_its_result(gate):
+    # A permutation only moves cofactors, so every node the walk
+    # allocates is part of the result: no intermediate K·rho is built.
+    prep = [gates.h(0), gates.u1(2, np.array([[0.6, 0.8j], [0.8j, 0.6]])),
+            gates.cnot(0, 3), gates.bit_flip(1, 0.3), gates.h(4),
+            gates.cnot(4, 1)]
+    initial = MixtureInit(((0.5, 0b00110), (0.3, 0b10011), (0.2, 0b01101)))
+    rho = run(Circuit(5, ops=prep, initial=initial)).rho
+    mgr = rho.manager
+    before = mgr.node_count
+    out = circuit.apply_one_target(rho, gate)
+    fresh = sum(1 for node in dd.iter_nodes(out.root) if node.idx >= before)
+    assert fresh > 0
+    assert mgr.node_count - before == fresh
+
+
 # -- channels ----------------------------------------------------------------
 
 def _channel_ops(mgr, ch, n):
@@ -430,8 +452,12 @@ def test_run_rejects_too_many_qubits(engine):
 
 
 def test_run_at_max_qubits():
+    # cnot(n - 1, 0) and the toffoli carry the target's four cells from
+    # the top wire down to the last: the walk's longest recursion.
     n = MAX_QUBITS
     c = Circuit(n, ops=[gates.h(0), gates.cnot(0, n - 1),
+                        gates.cnot(n - 1, 0), gates.h(n - 2),
+                        gates.toffoli(n - 2, n - 1, 0),
                         gates.bit_flip(n - 1, 0.25), Measure(n - 1),
                         PartialTraceOp(0), Measure(n - 2)])
     r = run(c)
@@ -686,11 +712,13 @@ def test_run_frees_manager_without_cyclic_collector(make):
 
 
 @pytest.mark.parametrize("make, counts, collect", [
-    (lambda: gen_grover(7, 5), (10486, 50), False),
-    (lambda: gen_rc_adder(7, 9), (630, 34), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (32728, 1251), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (33572, 1251), True),
-], ids=["grover", "adder", "steane7", "steane7-collecting"])
+    (lambda: gen_grover(7, 5), (10275, 50), False),
+    (lambda: gen_rc_adder(7, 9), (358, 34), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (19709, 1251), False),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (21053, 1251), True),
+    (_steane_with_bit_flip, (27348, 1882), False),
+], ids=["grover", "adder", "steane7", "steane7-collecting",
+        "steane7-bit-flip"])
 def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
     # A kernel change that allocates other nodes, or in another number,
     # moves these counts even when every result stays correct. Without
@@ -700,6 +728,22 @@ def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
         monkeypatch.setattr(dd, "FLOOR", sys.maxsize)
     stats = run(make()).stats
     assert (stats.manager_nodes, stats.peak_nodes) == counts
+
+
+def test_run_counts_each_state_once(monkeypatch):
+    # A step that leaves the root as it was reuses the last count, so no
+    # two counts in a row see the same root. The adder's assert_prob
+    # steps and its toffolis that never fire leave the root as it was.
+    roots = []
+
+    def counting(root):
+        roots.append(root)
+        return dd.count_nodes(root)
+
+    monkeypatch.setattr(circuit, "count_nodes", counting)
+    stats = run(gen_rc_adder(7, 9)).stats
+    assert all(a is not b for a, b in zip(roots, roots[1:]))
+    assert len(roots) < 1 + sum(s.nodes is not None for s in stats.steps)
 
 
 def test_run_deterministic_for_seed():

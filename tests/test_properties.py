@@ -110,10 +110,10 @@ def test_partial_trace_commutes_with_gates_elsewhere(seed, n, depth, data):
     assert np.abs(to_dense(gate_first) - to_dense(trace_first)).max() <= 1e-12
 
 
-def _random_kraus_pair(rng):
-    """Two non-unitary 2x2 Kraus operators with ``sum K+K = I``."""
-    v = random_unitary(rng, 4)[:, :2]  # orthonormal columns
-    return v[:2], v[2:]
+def _random_kraus(rng, count):
+    """``count`` non-unitary 2x2 Kraus operators with ``sum K+K = I``."""
+    v = random_unitary(rng, 2 * count)[:, :2]  # orthonormal columns
+    return [v[2 * i:2 * i + 2] for i in range(count)]
 
 
 def _control_sets(rng, target, n):
@@ -153,7 +153,8 @@ def test_one_target_walk_matches_operator_path(seed, n, depth, data):
             got = apply_one_target(rho, g)
             assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
     for ch in (gates.bit_flip(target, 0.3), gates.phase_flip(target, 0.2),
-               gates.kraus_channel((target,), _random_kraus_pair(rng))):
+               gates.kraus_channel((target,), _random_kraus(rng, 2)),
+               gates.kraus_channel((target,), _random_kraus(rng, 3))):
         want = apply_channel(rho, _unit_operators(mgr, [ch], n))
         got = apply_one_target(rho, ch)
         assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
