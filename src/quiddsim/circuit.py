@@ -10,8 +10,9 @@ Gates and channels share one model: a gate is a channel with the single
 Kraus operator ``U``, and the state becomes ``sum_k K_k rho K_k+``.
 
 A lone gate or channel with one target wire is applied by one walk over
-the state, with no operator and no ``K·rho`` intermediate; the
-``apply_one_target`` docstring describes the walk.
+the state, with no operator and no ``K·rho`` intermediate: side flags
+above the target, the target's four cofactors below it, and the Kraus
+terms summed at the target (``apply_one_target`` gives the details).
 
 Every other unit goes through full n-qubit operator diagrams, cached per
 unit within a run, and two matrix multiplications per Kraus operator:
