@@ -14,8 +14,8 @@ the state, with no operator and no ``K·rho`` intermediate: side flags
 above the target, the target's four cofactors below it, and the Kraus
 terms summed at the target (``apply_one_target`` gives the details).
 
-Every other unit goes through full n-qubit operator diagrams, cached per
-unit within a run, and two matrix multiplications per Kraus operator:
+Every other unit goes through full n-qubit operator diagrams, built for
+each application, and two matrix multiplications per Kraus operator:
 layers, ``swap``, two-target ``u1`` gates and channels on more than one
 wire. Every operator diagram is built by one walk over the wires that
 splits at the targets, follows the firing cell at the controls, scales
@@ -358,16 +358,14 @@ def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
                     e11 = other
             elif q in factors:
                 f = factors[q]
-                e11, e10, e01, e00 = [
-                    zero if v == 0 else below if v == 1
-                    else mgr.map_terminals(below, MUL, complex(v))
-                    for v in (f[x, y] for x, y in cells)]
+                e11, e10, e01, e00 = [mgr._scale(below, complex(f[x, y]))
+                                      for x, y in cells]
         c = 2 * q + 1
         return mk(c - 1, mk(c, e11, e10), mk(c, e01, e00))
 
     root = walk(0, 0, 0)
     del walk
-    return QuIDD(mgr, root, n, MATRIX)
+    return linalg._quidd(mgr, root, n, MATRIX)
 
 
 def _unit_operators(mgr: DDManager, unit: list, n: int) -> list[QuIDD]:
@@ -548,7 +546,7 @@ def _outcome_mask(mgr: DDManager, qubit: int, bit: int):
 def _masked(rho: QuIDD, qubit: int, bit: int) -> QuIDD:
     mgr = rho.manager
     root = mgr.apply(rho.root, _outcome_mask(mgr, qubit, bit), MUL)
-    return QuIDD(mgr, root, rho.n_qubits, MATRIX)
+    return linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
 
 
 def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
@@ -640,14 +638,6 @@ def initial_density(mgr: DDManager, circuit: Circuit) -> QuIDD:
     raise CircuitError(f"unknown initial state {init!r}")
 
 
-def _roots(rho: QuIDD, op_cache: dict):
-    """Roots a run still needs: the state and every cached operator."""
-    yield rho.root
-    for built in op_cache.values():
-        for k in built:
-            yield k.root
-
-
 def _layer_length(ops: list, start: int) -> int:
     """Number of ops from ``start`` on that form one layer: uncontrolled
     one-target gates on distinct wires, at most ``LAYER_WIRES``; 1 when
@@ -664,15 +654,15 @@ def _layer_length(ops: list, start: int) -> int:
 def run(circuit: Circuit, seed: int = 0) -> RunResult:
     """Execute on the diagram engine. Deterministic for a given seed.
 
-    Between steps the manager collects the nodes that neither the state
-    nor a cached operator reaches, once its unique table holds more than
-    ``max(dd.FLOOR, dd.K * kept)`` nodes (``kept``: the nodes the last
-    collection kept). Collection never changes a result.
+    Between steps the manager collects the nodes that the state does not
+    reach, once its unique table holds more than ``max(dd.FLOOR, dd.K *
+    kept)`` nodes (``kept``: the nodes the last collection kept).
+    Collection never changes a result.
 
     A lone gate or channel on one target wire is applied by one walk
     over the state; a layer of gates, a multi-target gate or channel by
-    its cached operators (see the module docstring). A layer is applied
-    at its last step; its earlier steps record ``nodes=None`` and
+    operators built for that step (see the module docstring). A layer is
+    applied at its last step; its earlier steps record ``nodes=None`` and
     ``wall_ms=0.0``. A step that leaves the state's root node as it was
     reuses the last node count, which depends on the root alone.
     """
@@ -684,7 +674,6 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     records: list[MeasurementRecord] = []
     prints: list[tuple[int, str]] = []
     steps: list[StepStat] = []
-    op_cache: dict = {}
     counted, nodes = rho.root, count_nodes(rho.root)  # last root counted
     peak = nodes
     kept = 0  # nodes kept by the last collection
@@ -703,12 +692,8 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
                 if len(unit) == 1 and len(op.targets) == 1:
                     rho = apply_one_target(rho, op)
                 else:
-                    key = tuple(u.key() for u in unit)
-                    built = op_cache.get(key)
-                    if built is None:
-                        built = _unit_operators(mgr, unit, rho.n_qubits)
-                        op_cache[key] = built
-                    rho = apply_channel(rho, built)
+                    rho = apply_channel(
+                        rho, _unit_operators(mgr, unit, rho.n_qubits))
             elif isinstance(op, Measure):
                 if op.sample:
                     outcome, rho, p0, p1 = sample_measure(rho, op.qubit, rng)
@@ -720,12 +705,10 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
                         MeasurementRecord(step, op.qubit, None, p0, p1))
             elif isinstance(op, PartialTraceOp):
                 rho = linalg.partial_trace(rho, op.qubit)
-                op_cache.clear()  # cached operators are for the old width
             elif isinstance(op, TraceAllOp):
                 value = linalg.trace(rho)
                 rho = linalg.partial_trace_multi(rho, range(rho.n_qubits))
                 prints.append((step, f"trace_all: {format_value(value)}"))
-                op_cache.clear()
             elif isinstance(op, AssertProb):
                 p0, p1 = measure_prob(rho, op.qubit)
                 got = p1 if op.outcome else p0
@@ -753,7 +736,7 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
         except (CircuitError, ValueError) as exc:
             raise SimulationError(str(exc), step) from exc
         if mgr.table_size > max(dd.FLOOR, dd.K * kept):
-            kept = mgr.collect(_roots(rho, op_cache))
+            kept = mgr.collect([rho.root])
         if step < layer_to - 1:
             steps.append(StepStat(step, describe(op), None, 0.0))
             continue

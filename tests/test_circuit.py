@@ -726,8 +726,18 @@ def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
     # drops computed results that may then be allocated again.
     if not collect:
         monkeypatch.setattr(dd, "FLOOR", sys.maxsize)
-    stats = run(make()).stats
+    checked = []  # the checked constructor walks a whole root
+    init = linalg.QuIDD.__init__
+
+    def checking(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    c = make()
+    monkeypatch.setattr(linalg.QuIDD, "__init__", checking)
+    stats = run(c).stats
     assert (stats.manager_nodes, stats.peak_nodes) == counts
+    assert checked == []  # a run checks no root it built itself
 
 
 def test_run_counts_each_state_once(monkeypatch):

@@ -87,7 +87,7 @@ def test_unique_table_stays_bounded(monkeypatch):
     # Not Grover: each of its iterations makes new amplitudes, so what a
     # collection keeps is mostly terminals, and the table tracks their
     # number rather than the allocations.
-    managers, kept, checks = [], [0], []
+    managers, kept, checks, handed = [], [0], [], []
     new_manager, collect, describe = (
         circuit.new_manager, DDManager.collect, circuit.describe)
 
@@ -96,7 +96,8 @@ def test_unique_table_stays_bounded(monkeypatch):
         return managers[-1]
 
     def collecting(self, roots):
-        kept.append(collect(self, roots))
+        handed.append(list(roots))
+        kept.append(collect(self, handed[-1]))
         return kept[-1]
 
     def describing(op):  # run describes every step after its collection
@@ -110,10 +111,11 @@ def test_unique_table_stays_bounded(monkeypatch):
     stats = run(clifford_rounds(8, 6)).stats
     assert len(checks) == 120  # every step
     assert len(kept) > 2  # it collected more than once
+    assert all(len(roots) == 1 for roots in handed)  # the state alone
     assert all(size <= bound for size, bound in checks)
     # Every bound here is the floor. Pinned like the allocation counts of
     # test_allocation_counts_pinned: the run allocates about four times
     # the largest table, and a kernel that allocates other nodes, or in
     # another number, moves both.
     assert (max(size for size, _ in checks), stats.manager_nodes) == (
-        16341, 65074)
+        16184, 65537)
