@@ -37,6 +37,7 @@ report no node count and no time, as no state exists after them.
 
 from __future__ import annotations
 
+import gc
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -550,12 +551,45 @@ def _masked(rho: QuIDD, qubit: int, bit: int) -> QuIDD:
 
 
 def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
-    """(p0, p1) for a computational basis measurement of ``qubit``."""
+    """(p0, p1) for a computational basis measurement of ``qubit``.
+
+    One walk over the diagonal, the recursion of ``linalg.trace`` with
+    the qubit's two diagonal cells summed apart: a node above the qubit
+    sums the pairs of its two diagonal cofactors, and at the qubit the
+    pair's entry ``b`` is the trace of the block whose row and column
+    bits of the qubit are both ``b``. It allocates no node. The skipped
+    qubits' power-of-two factors are exact, so the pair is bitwise the
+    traces of the two diagrams ``collapse`` masks.
+    """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    p0 = linalg.trace(_masked(rho, qubit, 0)).real
-    p1 = linalg.trace(_masked(rho, qubit, 1)).real
-    return p0, p1
+    cache = rho.manager._cache
+    n = rho.n_qubits
+    lr, lc = 2 * qubit, 2 * qubit + 1
+    cof, diagonal_sum = linalg._cof, linalg._diagonal_sum
+
+    def split(node: Node, k: int) -> tuple[complex, complex]:
+        top = node.level // 2  # past every qubit for a terminal
+        if top >= qubit:
+            scale = 1 << (qubit - k)
+            d0 = cof(cof(node, lr, 0), lc, 0)
+            d1 = cof(cof(node, lr, 1), lc, 1)
+            return (diagonal_sum(cache, n, d0, qubit + 1) * scale,
+                    diagonal_sum(cache, n, d1, qubit + 1) * scale)
+        key = ("mp", n, qubit, node.idx)
+        core = cache.get(key)
+        if core is None:
+            ur, uc = 2 * top, 2 * top + 1
+            h0, h1 = split(cof(cof(node, ur, 1), uc, 1), top + 1)
+            l0, l1 = split(cof(cof(node, ur, 0), uc, 0), top + 1)
+            core = h0 + l0, h1 + l1
+            cache[key] = core
+        scale = 1 << (top - k)
+        return core[0] * scale, core[1] * scale
+
+    p0, p1 = split(rho.root, 0)
+    del split
+    return p0.real, p1.real
 
 
 def collapse(rho: QuIDD, qubit: int, outcome: int) -> QuIDD:
@@ -665,7 +699,27 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     applied at its last step; its earlier steps record ``nodes=None`` and
     ``wall_ms=0.0``. A step that leaves the state's root node as it was
     reuses the last node count, which depends on the root alone.
+
+    Python's cyclic garbage collector is off while a run works, from
+    ``validate`` to the result, and on again afterwards if it was on
+    before, however the run ends. The setting is process-wide for as
+    long as the run lasts (the manager is not thread-safe either). This
+    is safe because the kernel makes no reference cycles (see the ``dd``
+    module docstring), so a pass during a run would free nothing;
+    ``test_run_leaves_no_cyclic_garbage`` in ``tests/test_collector.py``
+    guards that.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(circuit, seed)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(circuit: Circuit, seed: int) -> RunResult:
+    """``run``'s work, with the cyclic collector off."""
     t_start = time.perf_counter()
     validate(circuit)
     mgr = new_manager(circuit.n_qubits)

@@ -52,7 +52,9 @@ manager. A closure that calls itself by name would also refer to itself,
 a cycle that only the cyclic collector frees. Each walk deletes its name
 once it returns; the apply recursion, which outlives one call, takes
 itself as its first argument instead. Either way a finished manager is
-freed at once rather than when the cyclic collector next runs.
+freed at once rather than when the cyclic collector next runs, and since
+nothing else in the kernel makes a cycle either, ``circuit.run`` can
+turn that collector off for the length of a run.
 """
 
 from __future__ import annotations

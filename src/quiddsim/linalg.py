@@ -552,31 +552,30 @@ def partial_trace_multi(rho: QuIDD, qubits) -> QuIDD:
 
 
 def trace(rho: QuIDD) -> complex:
-    """Full trace of a density matrix (diagonal sum).
+    """Full trace of a density matrix (diagonal sum)."""
+    if rho.kind != MATRIX:
+        raise ValueError("trace expects a matrix")
+    return _diagonal_sum(rho.manager._cache, rho.n_qubits, rho.root, 0)
+
+
+def _diagonal_sum(cache: dict, n: int, node: Node, k: int) -> complex:
+    """Diagonal sum of ``node`` read as the block of qubits ``k`` to
+    ``n - 1``, the recursion of ``trace``, memoized in ``cache`` on
+    ``("tr", n, idx)``.
 
     Skipped qubits contribute a factor of two each, handled in one step
     via the gap to the next tested level.
     """
-    if rho.kind != MATRIX:
-        raise ValueError("trace expects a matrix")
-    mgr = rho.manager
-    n = rho.n_qubits
-    cache = mgr._cache
-
-    def tr(node: Node, k: int) -> complex:
-        if node.level == TERMINAL_LEVEL:
-            return node.value * (1 << (n - k))
-        top = node.level // 2
-        key = ("tr", n, node.idx)
-        core = cache.get(key)
-        if core is None:
-            lr, lc = 2 * top, 2 * top + 1
-            d1 = _cof(_cof(node, lr, 1), lc, 1)
-            d0 = _cof(_cof(node, lr, 0), lc, 0)
-            core = tr(d1, top + 1) + tr(d0, top + 1)
-            cache[key] = core
-        return core * (1 << (top - k))
-
-    value = tr(rho.root, 0)
-    del tr
-    return value
+    if node.level == TERMINAL_LEVEL:
+        return node.value * (1 << (n - k))
+    top = node.level // 2
+    key = ("tr", n, node.idx)
+    core = cache.get(key)
+    if core is None:
+        lr, lc = 2 * top, 2 * top + 1
+        d1 = _cof(_cof(node, lr, 1), lc, 1)
+        d0 = _cof(_cof(node, lr, 0), lc, 0)
+        core = (_diagonal_sum(cache, n, d1, top + 1)
+                + _diagonal_sum(cache, n, d0, top + 1))
+        cache[key] = core
+    return core * (1 << (top - k))
