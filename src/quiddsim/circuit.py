@@ -14,6 +14,16 @@ the state, with no operator and no ``K·rho`` intermediate: side flags
 above the target, the target's four cofactors below it, and the Kraus
 terms summed at the target (``apply_one_target`` gives the details).
 
+A fan-out run is two or more consecutive library X gates, each on one
+target, that share one identical, non-empty control tuple, on distinct
+target wires (the CNOT fan-outs of code encoders and syndrome
+extraction). It is applied by one walk over the state, which carries at
+most four nodes however many targets the run has (``apply_fanout``
+gives the details); its length is not capped. Only the library payload
+counts, tested by identity: a ``u1`` whose matrix equals X is applied on
+its own. Lone gates stay on ``apply_one_target``, which is cheaper for
+one gate.
+
 Every other unit goes through full n-qubit operator diagrams, built for
 each application, and two matrix multiplications per Kraus operator:
 layers, ``swap``, two-target ``u1`` gates and channels on more than one
@@ -31,8 +41,9 @@ the operator because one walk per gate leaves larger intermediate
 states: ``run(bench.gen_grover(15))`` peaks at 228 nodes with layers and
 at 395 with every gate walked. A measurement, probe, trace, channel,
 controlled or multi-target gate, a repeated wire or a full layer ends
-the run. The layer takes effect at its last gate; the steps before it
-report no node count and no time, as no state exists after them.
+the run. A layer or a fan-out run takes effect at its last gate; the
+steps before it report no node count and no time, as no state exists
+after them.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import numpy as np
 from . import dd, linalg
 from ._rng import XorShift64Star
 from .dd import ADD, LINCOMB, MUL, DDManager, Node, count_nodes
-from .gates import Channel, Gate
+from .gates import PAYLOADS, Channel, Gate
 from .linalg import MATRIX, QuIDD, new_manager
 
 __all__ = [
@@ -71,6 +82,7 @@ __all__ = [
     "apply_gate",
     "apply_channel",
     "apply_one_target",
+    "apply_fanout",
     "measure_prob",
     "collapse",
     "sample_measure",
@@ -96,6 +108,9 @@ MAX_QUBITS = 400
 # off, because a block sum of the multiply below dd.ZERO_EPS snaps to
 # zero and every entry built on it inherits that error.
 LAYER_WIRES = 8
+# The payload a fan-out run carries, recognised by identity like the
+# library payloads that skip the unitarity check.
+_X = PAYLOADS["x"]
 
 
 class _StepError(Exception):
@@ -531,6 +546,142 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     return linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
 
 
+def apply_fanout(rho: QuIDD, controls, targets) -> QuIDD:
+    """``U rho U+`` for ``U`` the X gates on ``targets`` (distinct wires)
+    that all share ``controls``, a non-empty tuple of ``(wire,
+    polarity)``: X on every target where the controls fire, identity
+    elsewhere. One memoized walk over ``rho`` applies the whole run.
+
+    Entry ``(r, c)`` of the result is entry ``(r', c')`` of ``rho``,
+    where ``r'`` is ``r`` with the target bits flipped if the controls
+    fire on ``r`` (the row side fires), and likewise ``c'``. While a
+    side's outcome is open, the walk carries the state under both
+    outcomes: up to four cells ``y_ab``, where ``a`` says the row side
+    fires and ``b`` the column side. At a target's row level the ``a=1``
+    cells take swapped children, at its column level the ``b=1`` cells.
+    At a control's row level the branch that does not match settles the
+    row side as not firing for good, and the branch that matches the
+    last row literal settles it as firing; a settled side's cells are
+    kept in both of its slots, and a later control of that side is an
+    ordinary level. Column levels settle the column side alike. Once
+    both sides are settled, the walk goes on over one node, swapping
+    children at the target levels of each side that fires. X permutes
+    cofactors and makes no terminal, so the result is the node that the
+    gates applied one by one give.
+    """
+    n = rho.n_qubits
+    wires = [q for q, _ in controls] + list(targets)
+    if not controls or not targets:
+        raise ValueError("a fan-out needs controls and targets")
+    if len(set(wires)) != len(wires):
+        raise ValueError("a fan-out's wires must be distinct")
+    for q in wires:
+        if not 0 <= q < n:
+            raise CircuitError(f"qubit {q} out of range for {n} qubit(s)")
+    mgr = rho.manager
+    # The levels the open walk treats apart, in order: (level, is_row,
+    # polarity, last), with polarity None at a target's levels and last
+    # true at the bottom control's, the last literal of either side.
+    bottom = max(q for q, _ in controls)
+    marks = sorted((2 * q + col, not col, p, q == bottom)
+                   for q, p in [(t, None) for t in targets] + list(controls)
+                   for col in (0, 1))
+    # Per settled outcome 2a+b: the levels whose children swap, and the
+    # last of them.
+    rows = frozenset(2 * t for t in targets)
+    cols = frozenset(2 * t + 1 for t in targets)
+    swaps = [frozenset(), cols, rows, rows | cols]
+    lasts = [max(s, default=-1) for s in swaps]
+    last_target = lasts[3]
+    mk = mgr.mk_internal
+    memo: dict = {}
+    settled_memo: dict = {}
+
+    def settled(x: Node, m: int) -> Node:
+        lv = x.level
+        if lv > lasts[m]:
+            return x
+        key = (x.idx, m)
+        r = settled_memo.get(key)
+        if r is None:
+            if lv in swaps[m]:
+                r = mk(lv, settled(x.lo, m), settled(x.hi, m))
+            else:
+                r = mk(lv, settled(x.hi, m), settled(x.lo, m))
+            settled_memo[key] = r
+        return r
+
+    def walk(y00, y01, y10, y11, k, rs, cs) -> Node:
+        # rs, cs: None while the row (column) side is open, else whether
+        # it fires. Called with at least one side open.
+        if y00 is y01 is y10 is y11 and y00.level > last_target:
+            return y00
+        key = (y00.idx, y01.idx, y10.idx, y11.idx, k, rs, cs)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        lv, is_row, pol, last = marks[k]
+        top = min(y00.level, y01.level, y10.level, y11.level)
+        if top < lv:  # a level between: every cell tests it
+            lv, k1 = top, k
+        else:
+            k1 = k + 1
+        h00, l00 = (y00.hi, y00.lo) if y00.level == lv else (y00, y00)
+        h01, l01 = (y01.hi, y01.lo) if y01.level == lv else (y01, y01)
+        h10, l10 = (y10.hi, y10.lo) if y10.level == lv else (y10, y10)
+        h11, l11 = (y11.hi, y11.lo) if y11.level == lv else (y11, y11)
+        hi = h00, h01, h10, h11
+        lo = l00, l01, l10, l11
+        rh = rl = rs
+        ch = cl = cs
+        side = rs if is_row else cs
+        if k1 == k:
+            pass
+        elif pol is None:  # a target: the cells of a firing side swap
+            if side is None:
+                if is_row:
+                    hi, lo = (h00, h01, l10, l11), (l00, l01, h10, h11)
+                else:
+                    hi, lo = (h00, l01, h10, l11), (l00, h01, l10, h11)
+            elif side:
+                hi, lo = lo, hi
+        elif side is None:  # a literal of an open side
+            # Where it misses, the side does not fire; where it matches
+            # the side's last literal, the side fires. Either way the
+            # cells of that outcome fill both of the side's slots.
+            fire, miss = (hi, lo) if pol else (lo, hi)
+            if is_row:
+                miss = miss[0], miss[1], miss[0], miss[1]
+                if last:
+                    fire = fire[2], fire[3], fire[2], fire[3]
+            else:
+                miss = miss[0], miss[0], miss[2], miss[2]
+                if last:
+                    fire = fire[1], fire[1], fire[3], fire[3]
+            hi, lo = (fire, miss) if pol else (miss, fire)
+            flags = (last or None, False) if pol else (False, last or None)
+            if is_row:
+                rh, rl = flags
+            else:
+                ch, cl = flags
+        if rh is None or ch is None:
+            new_hi = walk(*hi, k1, rh, ch)
+        else:
+            new_hi = settled(hi[0], 2 * rh + ch)
+        if rl is None or cl is None:
+            new_lo = walk(*lo, k1, rl, cl)
+        else:
+            new_lo = settled(lo[0], 2 * rl + cl)
+        r = mk(lv, new_hi, new_lo)
+        memo[key] = r
+        return r
+
+    x = rho.root
+    root = walk(x, x, x, x, 0, None, None)
+    del walk, settled
+    return linalg._quidd(mgr, root, n, MATRIX)
+
+
 # -- measurement ------------------------------------------------------------
 
 def _outcome_mask(mgr: DDManager, qubit: int, bit: int):
@@ -672,17 +823,31 @@ def initial_density(mgr: DDManager, circuit: Circuit) -> QuIDD:
     raise CircuitError(f"unknown initial state {init!r}")
 
 
-def _layer_length(ops: list, start: int) -> int:
-    """Number of ops from ``start`` on that form one layer: uncontrolled
-    one-target gates on distinct wires, at most ``LAYER_WIRES``; 1 when
-    ``ops[start]`` starts none."""
-    wires = set()
-    for op in ops[start:start + LAYER_WIRES]:
-        if not (isinstance(op, Gate) and not op.controls
-                and len(op.targets) == 1) or op.targets[0] in wires:
+def _unit_length(ops: list, start: int) -> int:
+    """Number of ops from ``start`` on that form one unit: a fan-out run,
+    a layer, or 1 for a lone op.
+
+    A fan-out run is library X gates, each on one target, with one
+    identical, non-empty control tuple; a layer is uncontrolled
+    one-target gates, at most ``LAYER_WIRES`` of them. Either covers
+    distinct target wires."""
+    first = ops[start]
+    if not isinstance(first, Gate) or len(first.targets) != 1:
+        return 1
+    controls = first.controls
+    if controls and first.matrix is not _X:
+        return 1
+    end = len(ops) if controls else min(len(ops), start + LAYER_WIRES)
+    wires = {first.targets[0]}
+    for i in range(start + 1, end):
+        op = ops[i]
+        if not (isinstance(op, Gate) and op.controls == controls
+                and len(op.targets) == 1
+                and (not controls or op.matrix is _X)
+                and op.targets[0] not in wires):
             break
         wires.add(op.targets[0])
-    return max(len(wires), 1)
+    return len(wires)
 
 
 def run(circuit: Circuit, seed: int = 0) -> RunResult:
@@ -694,10 +859,13 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
     Collection never changes a result.
 
     A lone gate or channel on one target wire is applied by one walk
-    over the state; a layer of gates, a multi-target gate or channel by
-    operators built for that step (see the module docstring). A layer is
-    applied at its last step; its earlier steps record ``nodes=None`` and
-    ``wall_ms=0.0``. A step that leaves the state's root node as it was
+    over the state, and so is a fan-out run of X gates that share their
+    controls; a layer of gates, a multi-target gate or channel by
+    operators built for that step (see the module docstring). A layer or
+    a fan-out run is applied at its last step; its earlier steps record
+    ``nodes=None`` and ``wall_ms=0.0``. ``peak_nodes`` is the largest
+    state the run forms, so it does not see the states between the
+    gates of a unit. A step that leaves the state's root node as it was
     reuses the last node count, which depends on the root alone.
 
     Python's cyclic garbage collector is off while a run works, from
@@ -731,20 +899,22 @@ def _run(circuit: Circuit, seed: int) -> RunResult:
     counted, nodes = rho.root, count_nodes(rho.root)  # last root counted
     peak = nodes
     kept = 0  # nodes kept by the last collection
-    layer_from = layer_to = 0  # ops[layer_from:layer_to] is the unit
+    unit_from = unit_to = 0  # ops[unit_from:unit_to] is the unit
 
     for step, op in enumerate(circuit.ops):
         t0 = time.perf_counter()
-        if step >= layer_to:
-            layer_from, layer_to = step, step + _layer_length(circuit.ops,
-                                                              step)
+        if step >= unit_to:
+            unit_from, unit_to = step, step + _unit_length(circuit.ops, step)
         try:
-            if step < layer_to - 1:
-                pass  # applied with the rest of its layer
+            if step < unit_to - 1:
+                pass  # applied with the rest of its unit
             elif isinstance(op, (Gate, Channel)):
-                unit = circuit.ops[layer_from:layer_to]
+                unit = circuit.ops[unit_from:unit_to]
                 if len(unit) == 1 and len(op.targets) == 1:
                     rho = apply_one_target(rho, op)
+                elif len(unit) > 1 and op.controls:
+                    rho = apply_fanout(rho, op.controls,
+                                       [g.targets[0] for g in unit])
                 else:
                     rho = apply_channel(
                         rho, _unit_operators(mgr, unit, rho.n_qubits))
@@ -791,7 +961,7 @@ def _run(circuit: Circuit, seed: int) -> RunResult:
             raise SimulationError(str(exc), step) from exc
         if mgr.table_size > max(dd.FLOOR, dd.K * kept):
             kept = mgr.collect([rho.root])
-        if step < layer_to - 1:
+        if step < unit_to - 1:
             steps.append(StepStat(step, describe(op), None, 0.0))
             continue
         if rho.root is not counted:

@@ -35,36 +35,65 @@ def random_initial(rng, n_qubits):
     return BasisInit(int(rng.integers(0, dim)))
 
 
+def random_op(rng, n_qubits, with_measures=True):
+    """One draw from the whole gate library plus channels and measures."""
+    roll = rng.random()
+    qs = [int(q) for q in rng.permutation(n_qubits)]
+    if roll < 0.55 or n_qubits < 2:
+        kind = int(rng.integers(0, len(ONE_QUBIT) + 1))
+        if kind == len(ONE_QUBIT):
+            return gates.u1(qs[0], random_unitary(rng, 2))
+        return ONE_QUBIT[kind](qs[0])
+    if roll < 0.80:
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            return gates.cnot(qs[0], qs[1])
+        if kind == 1:
+            return gates.swap(qs[0], qs[1])
+        if kind == 2 and n_qubits >= 3:
+            return gates.toffoli(qs[0], qs[1], qs[2])
+        pol = int(rng.integers(0, 2))
+        return gates.controlled(
+            gates.u1(qs[1], random_unitary(rng, 2)), [(qs[0], pol)])
+    if roll < 0.92:
+        p = float(rng.uniform(0.0, 0.3))
+        make = gates.bit_flip if rng.random() < 0.5 else gates.phase_flip
+        return make(qs[0], p)
+    if with_measures:
+        return Measure(qs[0], sample=bool(rng.random() < 0.4))
+    return gates.h(qs[0])
+
+
 def random_circuit(rng, n_qubits, depth, with_measures=True):
     """Draw from the whole gate library plus channels and measures."""
     c = Circuit(n_qubits, initial=random_initial(rng, n_qubits))
     for _ in range(depth):
-        roll = rng.random()
+        c.ops.append(random_op(rng, n_qubits, with_measures))
+    return c
+
+
+def random_fanout_circuit(rng, n_qubits, depth, with_measures=True):
+    """Fan-out runs (library X gates on distinct targets that share one
+    control tuple) between draws of ``random_op``. A run may be followed
+    by an op that ends it although it shares the run's controls: an X on
+    a target the run already has, an H, or a ``u1`` whose matrix equals
+    X."""
+    c = Circuit(n_qubits, initial=random_initial(rng, n_qubits))
+    x = gates.PAYLOADS["x"]
+    for _ in range(depth):
+        if n_qubits < 3 or rng.random() < 0.4:
+            c.ops.append(random_op(rng, n_qubits, with_measures))
+            continue
         qs = [int(q) for q in rng.permutation(n_qubits)]
-        if roll < 0.55 or n_qubits < 2:
-            kind = int(rng.integers(0, len(ONE_QUBIT) + 1))
-            if kind == len(ONE_QUBIT):
-                c.ops.append(gates.u1(qs[0], random_unitary(rng, 2)))
-            else:
-                c.ops.append(ONE_QUBIT[kind](qs[0]))
-        elif roll < 0.80:
-            kind = int(rng.integers(0, 4))
-            if kind == 0:
-                c.ops.append(gates.cnot(qs[0], qs[1]))
-            elif kind == 1:
-                c.ops.append(gates.swap(qs[0], qs[1]))
-            elif kind == 2 and n_qubits >= 3:
-                c.ops.append(gates.toffoli(qs[0], qs[1], qs[2]))
-            else:
-                pol = int(rng.integers(0, 2))
-                c.ops.append(gates.controlled(
-                    gates.u1(qs[1], random_unitary(rng, 2)), [(qs[0], pol)]))
-        elif roll < 0.92:
-            p = float(rng.uniform(0.0, 0.3))
-            make = gates.bit_flip if rng.random() < 0.5 else gates.phase_flip
-            c.ops.append(make(qs[0], p))
-        elif with_measures:
-            c.ops.append(Measure(qs[0], sample=bool(rng.random() < 0.4)))
-        else:
-            c.ops.append(gates.h(qs[0]))
+        k = int(rng.integers(1, min(3, n_qubits - 2) + 1))
+        controls = tuple((q, int(rng.integers(0, 2))) for q in qs[:k])
+        targets = qs[k:k + int(rng.integers(2, n_qubits - k + 1))]
+        c.ops.extend(gates.Gate("x", (t,), x, controls) for t in targets)
+        end = int(rng.integers(0, 4))
+        if end == 1:
+            c.ops.append(gates.Gate("x", (targets[0],), x, controls))
+        elif end == 2:
+            c.ops.append(gates.controlled(gates.h(targets[0]), controls))
+        elif end == 3:
+            c.ops.append(gates.Gate("u1", (targets[-1],), x.copy(), controls))
     return c

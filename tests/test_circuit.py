@@ -739,21 +739,30 @@ def test_run_frees_manager_without_cyclic_collector(make):
         gc.enable()
 
 
-@pytest.mark.parametrize("make, counts, collect", [
-    (lambda: gen_grover(7, 5), (10275, 50), False),
-    (lambda: gen_rc_adder(7, 9), (342, 34), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (19701, 1251), False),
-    (lambda: gen_code_demo("steane7", ("x", 3)), (21045, 1251), True),
-    (_steane_with_bit_flip, (27340, 1882), False),
+@pytest.mark.parametrize("make, counts, floor", [
+    (lambda: gen_grover(7, 5), (10275, 50), None),
+    (lambda: gen_rc_adder(7, 9), (342, 34), None),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (11418, 1197), None),
+    (lambda: gen_code_demo("steane7", ("x", 3)), (12153, 1197), 2**13),
+    (_steane_with_bit_flip, (16971, 1882), None),
 ], ids=["grover", "adder", "steane7", "steane7-collecting",
         "steane7-bit-flip"])
-def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
+def test_allocation_counts_pinned(make, counts, floor, monkeypatch):
     # A kernel change that allocates other nodes, or in another number,
     # moves these counts even when every result stays correct. Without
-    # collection the kernel allocates what it always did; a collection
-    # drops computed results that may then be allocated again.
-    if not collect:
-        monkeypatch.setattr(dd, "FLOOR", sys.maxsize)
+    # collection (no floor) the kernel allocates what it always did; a
+    # collection drops computed results that may then be allocated
+    # again. The collecting case lowers the floor below its allocations,
+    # so that it still collects.
+    monkeypatch.setattr(dd, "FLOOR", sys.maxsize if floor is None else floor)
+    collections = []
+    collect = dd.DDManager.collect
+
+    def counting(self, roots):
+        collections.append(roots)
+        return collect(self, roots)
+
+    monkeypatch.setattr(dd.DDManager, "collect", counting)
     checked = []  # the checked constructor walks a whole root
     init = linalg.QuIDD.__init__
 
@@ -766,6 +775,7 @@ def test_allocation_counts_pinned(make, counts, collect, monkeypatch):
     stats = run(c).stats
     assert (stats.manager_nodes, stats.peak_nodes) == counts
     assert checked == []  # a run checks no root it built itself
+    assert bool(collections) == (floor is not None)
 
 
 def test_run_counts_each_state_once(monkeypatch):
