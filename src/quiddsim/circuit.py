@@ -14,15 +14,21 @@ the state, with no operator and no ``K·rho`` intermediate: side flags
 above the target, the target's four cofactors below it, and the Kraus
 terms summed at the target (``apply_one_target`` gives the details).
 
-A fan-out run is two or more consecutive library X gates, each on one
+Runs of controlled X gates are applied by one walk over the state,
+which carries at most four nodes however long the run is
+(``apply_fanout`` gives the details); their length is not capped. A
+fan-out run is two or more consecutive library X gates, each on one
 target, that share one identical, non-empty control tuple, on distinct
-target wires (the CNOT fan-outs of code encoders and syndrome
-extraction). It is applied by one walk over the state, which carries at
-most four nodes however many targets the run has (``apply_fanout``
-gives the details); its length is not capped. Only the library payload
-counts, tested by identity: a ``u1`` whose matrix equals X is applied on
-its own. Lone gates stay on ``apply_one_target``, which is cheaper for
-one gate.
+target wires (the CNOT fan-outs of code encoders). A parity run is two
+or more consecutive library X gates that each have exactly one control
+and share one target (the syndrome bits of a code, the sum bits of an
+adder); its controls may change, repeat and have either polarity. Only
+the library payload counts, tested by identity: a ``u1`` whose matrix
+equals X is applied on its own. Lone gates stay on
+``apply_one_target``, which is cheaper for one gate, and so do runs of
+gates with two or more controls onto one target, such as an adder's
+Toffoli pairs: a lone walk stops at a node as soon as both its flags
+clear.
 
 Every other unit goes through full n-qubit operator diagrams, built for
 each application, and two matrix multiplications per Kraus operator:
@@ -41,9 +47,9 @@ the operator because one walk per gate leaves larger intermediate
 states: ``run(bench.gen_grover(15))`` peaks at 228 nodes with layers and
 at 395 with every gate walked. A measurement, probe, trace, channel,
 controlled or multi-target gate, a repeated wire or a full layer ends
-the run. A layer or a fan-out run takes effect at its last gate; the
-steps before it report no node count and no time, as no state exists
-after them.
+the run. A layer or a run of X gates takes effect at its last gate;
+the steps before it report no node count and no time, as no state
+exists after them.
 """
 
 from __future__ import annotations
@@ -546,53 +552,92 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     return linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
 
 
-def apply_fanout(rho: QuIDD, controls, targets) -> QuIDD:
-    """``U rho U+`` for ``U`` the X gates on ``targets`` (distinct wires)
-    that all share ``controls``, a non-empty tuple of ``(wire,
-    polarity)``: X on every target where the controls fire, identity
-    elsewhere. One memoized walk over ``rho`` applies the whole run.
+def apply_fanout(rho: QuIDD, terms, targets) -> QuIDD:
+    """``U rho U+`` for ``U`` the X gate on every wire of ``targets``
+    where an odd number of ``terms`` fire, identity elsewhere. A term is
+    a non-empty tuple of ``(wire, polarity)`` literals and fires where
+    all of them hold; no term has a wire twice or a target wire. One
+    memoized walk over ``rho`` applies the whole unit. A fan-out is one
+    term with many targets; a parity run is one target with a
+    one-literal term per CNOT.
 
     Entry ``(r, c)`` of the result is entry ``(r', c')`` of ``rho``,
-    where ``r'`` is ``r`` with the target bits flipped if the controls
-    fire on ``r`` (the row side fires), and likewise ``c'``. While a
-    side's outcome is open, the walk carries the state under both
-    outcomes: up to four cells ``y_ab``, where ``a`` says the row side
-    fires and ``b`` the column side. At a target's row level the ``a=1``
-    cells take swapped children, at its column level the ``b=1`` cells.
-    At a control's row level the branch that does not match settles the
-    row side as not firing for good, and the branch that matches the
-    last row literal settles it as firing; a settled side's cells are
-    kept in both of its slots, and a later control of that side is an
-    ordinary level. Column levels settle the column side alike. Once
-    both sides are settled, the walk goes on over one node, swapping
-    children at the target levels of each side that fires. X permutes
-    cofactors and makes no terminal, so the result is the node that the
-    gates applied one by one give.
+    where ``r'`` is ``r`` with the target bits flipped if the terms fire
+    an odd number of times on ``r`` (the row side fires), and likewise
+    ``c'``. Each side carries a small int: 0 or 1 once its outcome is
+    settled (1: it fires), else ``2·mask + parity``, with ``mask`` the
+    terms still open and ``parity`` that of the terms fired so far. At
+    a control's row level each branch drops the row terms whose literal
+    there misses and fires those whose last literal there matches;
+    column levels do the same for the column side. Above the first
+    target every cell is one node, which the walk carries alone. From
+    the first target on, while a side is open, the walk carries the
+    state under both outcomes: up to four cells ``y_ab``, where ``a``
+    says the row side fires and ``b`` the column side. At a target's row
+    level the ``a=1`` cells take swapped children, at its column level
+    the ``b=1`` cells. A side that settles keeps the cells of its
+    outcome in both of its slots, and a later control of that side is
+    an ordinary level. Once both sides are settled, the walk goes on
+    over one node, swapping children at the target levels of each side
+    that fires. X permutes cofactors and makes no terminal, so the
+    result is the node that the gates applied one by one give.
     """
     n = rho.n_qubits
-    wires = [q for q, _ in controls] + list(targets)
-    if not controls or not targets:
-        raise ValueError("a fan-out needs controls and targets")
-    if len(set(wires)) != len(wires):
-        raise ValueError("a fan-out's wires must be distinct")
-    for q in wires:
+    if len(set(targets)) != len(targets):
+        raise ValueError("an X unit's targets must be distinct")
+    targets = set(targets)
+    # Per control wire: its literals, as (term bit, polarity, whether it
+    # is the term's last literal).
+    literals: dict = {}
+    for i, term in enumerate(terms):
+        if not term:
+            raise ValueError("an X unit's terms need controls")
+        bottom = max(q for q, _ in term)
+        for q, p in term:
+            literals.setdefault(q, []).append((1 << i, p, q == bottom))
+        if len({q for q, _ in term}) != len(term):
+            raise ValueError("a term's wires must be distinct")
+    if not literals or not targets:
+        raise ValueError("an X unit needs terms and targets")
+    if literals.keys() & targets:
+        raise ValueError("a target wire cannot be a control")
+    for q in literals.keys() | targets:
         if not 0 <= q < n:
             raise CircuitError(f"qubit {q} out of range for {n} qubit(s)")
     mgr = rho.manager
-    # The levels the open walk treats apart, in order: (level, is_row,
-    # polarity, last), with polarity None at a target's levels and last
-    # true at the bottom control's, the last literal of either side.
-    bottom = max(q for q, _ in controls)
-    marks = sorted((2 * q + col, not col, p, q == bottom)
-                   for q, p in [(t, None) for t in targets] + list(controls)
-                   for col in (0, 1))
+
+    # Per control wire, in order: each open side state that reaches it,
+    # mapped to the states below its hi and lo branches. Below a branch
+    # the open terms whose literal there misses drop, and those whose
+    # last literal there matches fire.
+    opened = 2 * ((1 << len(terms)) - 1)  # every term open, parity 0
+    moves: dict = {}
+    reach = (opened,)
+    for q in sorted(literals):
+        step = moves[q] = {}
+        for s in reach:
+            pair = []
+            for b in (1, 0):
+                mask, parity = s >> 1, s & 1
+                for bit, p, last in literals[q]:
+                    if mask & bit and (p != b or last):
+                        mask ^= bit
+                        parity ^= p == b
+                pair.append(2 * mask + parity if mask else parity)
+            step[s] = tuple(pair)
+        reach = {s for pair in step.values() for s in pair if s > 1}
+    # The levels the walk treats apart, in order: (level, is_row, moves),
+    # with moves None at a target's levels.
+    marks = sorted((2 * q + col, not col, moves.get(q))
+                   for q in literals.keys() | targets for col in (0, 1))
+    first_target = 2 * min(targets)
     # Per settled outcome 2a+b: the levels whose children swap, and the
     # last of them.
-    rows = frozenset(2 * t for t in targets)
-    cols = frozenset(2 * t + 1 for t in targets)
-    swaps = [frozenset(), cols, rows, rows | cols]
-    lasts = [max(s, default=-1) for s in swaps]
-    last_target = lasts[3]
+    rows = {2 * t for t in targets}
+    cols = {2 * t + 1 for t in targets}
+    swaps = [(), cols, rows, rows | cols]
+    last_target = 2 * max(targets) + 1
+    lasts = [-1, last_target, last_target - 1, last_target]
     mk = mgr.mk_internal
     memo: dict = {}
     settled_memo: dict = {}
@@ -611,19 +656,50 @@ def apply_fanout(rho: QuIDD, controls, targets) -> QuIDD:
             settled_memo[key] = r
         return r
 
+    def top(x: Node, k: int, rs: int, cs: int) -> Node:
+        # One node above the first target, with at least one side open.
+        lv = x.level
+        if lv > last_target:
+            return x
+        key = (x.idx, k, rs, cs)
+        r = memo.get(key)
+        if r is not None:
+            return r
+        mark, is_row, step = marks[k]
+        if lv < mark:
+            r = mk(lv, top(x.hi, k, rs, cs), top(x.lo, k, rs, cs))
+        elif step is None:  # the first target
+            r = walk(x, x, x, x, k, rs, cs)
+        else:
+            hi, lo = (x.hi, x.lo) if lv == mark else (x, x)
+            rh = rl = rs
+            ch = cl = cs
+            if is_row:
+                if rs > 1:
+                    rh, rl = step[rs]
+            elif cs > 1:
+                ch, cl = step[cs]
+            r = mk(mark,
+                   top(hi, k + 1, rh, ch) if rh > 1 or ch > 1
+                   else settled(hi, 2 * rh + ch),
+                   top(lo, k + 1, rl, cl) if rl > 1 or cl > 1
+                   else settled(lo, 2 * rl + cl))
+        memo[key] = r
+        return r
+
     def walk(y00, y01, y10, y11, k, rs, cs) -> Node:
-        # rs, cs: None while the row (column) side is open, else whether
-        # it fires. Called with at least one side open.
+        # The four cells from the first target on, with at least one side
+        # open.
         if y00 is y01 is y10 is y11 and y00.level > last_target:
             return y00
         key = (y00.idx, y01.idx, y10.idx, y11.idx, k, rs, cs)
         r = memo.get(key)
         if r is not None:
             return r
-        lv, is_row, pol, last = marks[k]
-        top = min(y00.level, y01.level, y10.level, y11.level)
-        if top < lv:  # a level between: every cell tests it
-            lv, k1 = top, k
+        lv, is_row, step = marks[k]
+        top_level = min(y00.level, y01.level, y10.level, y11.level)
+        if top_level < lv:  # a level between: every cell tests it
+            lv, k1 = top_level, k
         else:
             k1 = k + 1
         h00, l00 = (y00.hi, y00.lo) if y00.level == lv else (y00, y00)
@@ -635,40 +711,39 @@ def apply_fanout(rho: QuIDD, controls, targets) -> QuIDD:
         rh = rl = rs
         ch = cl = cs
         side = rs if is_row else cs
-        if k1 == k:
+        if k1 == k or side < 2 and step is not None:
             pass
-        elif pol is None:  # a target: the cells of a firing side swap
-            if side is None:
+        elif step is None:  # a target: the cells of a firing side swap
+            if side > 1:
                 if is_row:
                     hi, lo = (h00, h01, l10, l11), (l00, l01, h10, h11)
                 else:
                     hi, lo = (h00, l01, h10, l11), (l00, h01, l10, h11)
             elif side:
                 hi, lo = lo, hi
-        elif side is None:  # a literal of an open side
-            # Where it misses, the side does not fire; where it matches
-            # the side's last literal, the side fires. Either way the
-            # cells of that outcome fill both of the side's slots.
-            fire, miss = (hi, lo) if pol else (lo, hi)
+        else:  # a literal of an open side
+            # A branch that settles the side keeps the cells of its
+            # outcome in both of the side's slots.
+            sh, sl = step[side]
             if is_row:
-                miss = miss[0], miss[1], miss[0], miss[1]
-                if last:
-                    fire = fire[2], fire[3], fire[2], fire[3]
+                rh, rl = sh, sl
+                if sh < 2:
+                    hi = hi[2 * sh], hi[2 * sh + 1]
+                    hi = hi + hi
+                if sl < 2:
+                    lo = lo[2 * sl], lo[2 * sl + 1]
+                    lo = lo + lo
             else:
-                miss = miss[0], miss[0], miss[2], miss[2]
-                if last:
-                    fire = fire[1], fire[1], fire[3], fire[3]
-            hi, lo = (fire, miss) if pol else (miss, fire)
-            flags = (last or None, False) if pol else (False, last or None)
-            if is_row:
-                rh, rl = flags
-            else:
-                ch, cl = flags
-        if rh is None or ch is None:
+                ch, cl = sh, sl
+                if sh < 2:
+                    hi = hi[sh], hi[sh], hi[2 + sh], hi[2 + sh]
+                if sl < 2:
+                    lo = lo[sl], lo[sl], lo[2 + sl], lo[2 + sl]
+        if rh > 1 or ch > 1:
             new_hi = walk(*hi, k1, rh, ch)
         else:
             new_hi = settled(hi[0], 2 * rh + ch)
-        if rl is None or cl is None:
+        if rl > 1 or cl > 1:
             new_lo = walk(*lo, k1, rl, cl)
         else:
             new_lo = settled(lo[0], 2 * rl + cl)
@@ -676,9 +751,8 @@ def apply_fanout(rho: QuIDD, controls, targets) -> QuIDD:
         memo[key] = r
         return r
 
-    x = rho.root
-    root = walk(x, x, x, x, 0, None, None)
-    del walk, settled
+    root = top(rho.root, 0, opened, opened)
+    del top, walk, settled
     return linalg._quidd(mgr, root, n, MATRIX)
 
 
@@ -824,30 +898,41 @@ def initial_density(mgr: DDManager, circuit: Circuit) -> QuIDD:
 
 
 def _unit_length(ops: list, start: int) -> int:
-    """Number of ops from ``start`` on that form one unit: a fan-out run,
-    a layer, or 1 for a lone op.
+    """Number of ops from ``start`` on that form one unit: a parity run,
+    a fan-out run, a layer, or 1 for a lone op.
 
-    A fan-out run is library X gates, each on one target, with one
-    identical, non-empty control tuple; a layer is uncontrolled
-    one-target gates, at most ``LAYER_WIRES`` of them. Either covers
-    distinct target wires."""
+    A parity run is library X gates that each have exactly one control
+    and share one target. A fan-out run is library X gates, each on one
+    target, with one identical, non-empty control tuple; a layer is
+    uncontrolled one-target gates, at most ``LAYER_WIRES`` of them.
+    Either of the last two covers distinct target wires. The second op
+    decides between a parity run and a fan-out run, which cannot both
+    hold for it; the first op's run is then as long as it goes."""
     first = ops[start]
     if not isinstance(first, Gate) or len(first.targets) != 1:
         return 1
     controls = first.controls
     if controls and first.matrix is not _X:
         return 1
+    # The second op tells a parity run from a fan-out run.
+    after = ops[start + 1] if start + 1 < len(ops) else None
+    parity = (len(controls) == 1 and isinstance(after, Gate)
+              and after.targets == first.targets)
     end = len(ops) if controls else min(len(ops), start + LAYER_WIRES)
     wires = {first.targets[0]}
     for i in range(start + 1, end):
         op = ops[i]
-        if not (isinstance(op, Gate) and op.controls == controls
-                and len(op.targets) == 1
-                and (not controls or op.matrix is _X)
-                and op.targets[0] not in wires):
-            break
+        if not (isinstance(op, Gate) and len(op.targets) == 1
+                and (not controls or op.matrix is _X)):
+            return i - start
+        if parity:
+            joins = len(op.controls) == 1 and op.targets == first.targets
+        else:
+            joins = op.controls == controls and op.targets[0] not in wires
+        if not joins:
+            return i - start
         wires.add(op.targets[0])
-    return len(wires)
+    return end - start
 
 
 def run(circuit: Circuit, seed: int = 0) -> RunResult:
@@ -860,13 +945,14 @@ def run(circuit: Circuit, seed: int = 0) -> RunResult:
 
     A lone gate or channel on one target wire is applied by one walk
     over the state, and so is a fan-out run of X gates that share their
-    controls; a layer of gates, a multi-target gate or channel by
-    operators built for that step (see the module docstring). A layer or
-    a fan-out run is applied at its last step; its earlier steps record
-    ``nodes=None`` and ``wall_ms=0.0``. ``peak_nodes`` is the largest
-    state the run forms, so it does not see the states between the
-    gates of a unit. A step that leaves the state's root node as it was
-    reuses the last node count, which depends on the root alone.
+    controls or a parity run of CNOTs onto one target; a layer of gates,
+    a multi-target gate or channel by operators built for that step (see
+    the module docstring). A layer or a run of X gates is applied at its
+    last step; its earlier steps record ``nodes=None`` and
+    ``wall_ms=0.0``. ``peak_nodes`` is the largest state the run forms,
+    so it does not see the states between the gates of a unit. A step
+    that leaves the state's root node as it was reuses the last node
+    count, which depends on the root alone.
 
     Python's cyclic garbage collector is off while a run works, from
     ``validate`` to the result, and on again afterwards if it was on
@@ -912,8 +998,11 @@ def _run(circuit: Circuit, seed: int) -> RunResult:
                 unit = circuit.ops[unit_from:unit_to]
                 if len(unit) == 1 and len(op.targets) == 1:
                     rho = apply_one_target(rho, op)
+                elif len(unit) > 1 and op.targets == unit[0].targets:
+                    rho = apply_fanout(rho, [g.controls for g in unit],
+                                       op.targets)
                 elif len(unit) > 1 and op.controls:
-                    rho = apply_fanout(rho, op.controls,
+                    rho = apply_fanout(rho, [op.controls],
                                        [g.targets[0] for g in unit])
                 else:
                     rho = apply_channel(

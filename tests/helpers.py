@@ -97,3 +97,30 @@ def random_fanout_circuit(rng, n_qubits, depth, with_measures=True):
         elif end == 3:
             c.ops.append(gates.Gate("u1", (targets[-1],), x.copy(), controls))
     return c
+
+
+def random_parity_circuit(rng, n_qubits, depth, with_measures=True):
+    """Parity runs (library X gates onto one target, each with one
+    control of either polarity, controls repeated at will) between draws
+    of ``random_op``. A run may be followed by an op on its target that
+    ends it: a Toffoli, an H, or a ``u1`` whose matrix equals X."""
+    c = Circuit(n_qubits, initial=random_initial(rng, n_qubits))
+    x = gates.PAYLOADS["x"]
+    for _ in range(depth):
+        if n_qubits < 3 or rng.random() < 0.4:
+            c.ops.append(random_op(rng, n_qubits, with_measures))
+            continue
+        qs = [int(q) for q in rng.permutation(n_qubits)]
+        target, others = qs[0], qs[1:]
+        for _ in range(int(rng.integers(2, 6))):
+            control = (int(rng.choice(others)), int(rng.integers(0, 2)))
+            c.ops.append(gates.Gate("x", (target,), x, (control,)))
+        end = int(rng.integers(0, 4))
+        if end == 1:
+            c.ops.append(gates.toffoli(others[0], others[1], target))
+        elif end == 2:
+            c.ops.append(gates.h(target))
+        elif end == 3:
+            c.ops.append(gates.Gate("u1", (target,), x.copy(),
+                                    ((others[0], 1),)))
+    return c

@@ -1,12 +1,17 @@
-"""CNOT fan-out runs: library X gates on distinct targets that share one
-control tuple, applied by ``run`` as one walk over the state
-(``circuit.apply_fanout``)."""
+"""Controlled X runs, applied by ``run`` as one walk over the state
+(``circuit.apply_fanout``): fan-out runs, library X gates on distinct
+targets that share one control tuple, and parity runs, library X gates
+onto one target that each have one control."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_circuit, random_fanout_circuit
+from helpers import (
+    random_circuit,
+    random_fanout_circuit,
+    random_parity_circuit,
+)
 from quiddsim import circuit, gates, linalg, oracle
 from quiddsim.circuit import (
     MAX_QUBITS,
@@ -45,7 +50,28 @@ def test_fanout_walk_gives_the_gates_root(seed, n, depth, data):
     want = rho
     for t in targets:
         want = apply_one_target(want, cx(controls, t))
-    assert apply_fanout(rho, controls, targets).root is want.root
+    assert apply_fanout(rho, [controls], targets).root is want.root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7),
+       depth=st.integers(0, 4), k=st.integers(2, 5))
+def test_parity_walk_gives_the_gates_root(seed, n, depth, k):
+    """One walk gives the very node that walking the run's CNOTs one by
+    one gives, on the same kind of states as above: k controls of either
+    polarity, repeats allowed, and the target above, between or below
+    them."""
+    rng = np.random.default_rng(seed)
+    rho = run(random_circuit(rng, n, depth, with_measures=False)).rho
+    target = int(rng.integers(0, n))
+    others = [q for q in range(n) if q != target]
+    controls = [(int(rng.choice(others)), int(rng.integers(0, 2)))
+                for _ in range(k)]
+    want = rho
+    for c in controls:
+        want = apply_one_target(want, cx([c], target))
+    got = apply_fanout(rho, [(c,) for c in controls], (target,))
+    assert got.root is want.root
 
 
 def _units(ops):
@@ -69,6 +95,34 @@ def test_run_ends_where_the_rule_ends_it():
     assert [len(u) for u in _units(ops)] == [2, 2, 1, 2, 1, 1, 1]
 
 
+def test_parity_run_ends_where_the_rule_ends_it():
+    ops = [cx([(0, 1)], 3), cx([(1, 0)], 3),
+           cx([(2, 1)], 4),  # another target
+           cx([(0, 1)], 3), cx([(1, 1)], 3),
+           gates.toffoli(0, 1, 3),  # two controls
+           cx([(0, 1)], 3), cx([(2, 1)], 3),
+           gates.controlled(gates.h(3), [(1, 1)]),  # another payload
+           cx([(0, 1)], 3), cx([(2, 1)], 3),
+           gates.Gate("u1", (3,), X.copy(), ((1, 1),)),  # a u1 equal to X
+           cx([(0, 1)], 3), cx([(2, 1)], 3), Measure(3),
+           cx([(0, 1)], 3), cx([(2, 0)], 3), gates.bit_flip(3, 0.1),
+           cx([(0, 1)], 3), cx([(0, 1)], 3), cx([(0, 1)], 3)]
+    assert [len(u) for u in _units(ops)] == \
+        [2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 3]
+
+
+def test_repeated_control_fuses_and_gives_back_the_root():
+    c = Circuit(3, initial=MixtureInit(((1.0, 0b000), (2.0, 0b110))),
+                ops=[gates.h(0), gates.h(2)])
+    rho = run(c).rho
+    c.ops += [cx([(0, 1)], 1), cx([(0, 1)], 1)]
+    assert [len(u) for u in _units(c.ops)] == [2, 2]
+    assert apply_fanout(rho, [((0, 1),), ((0, 1),)], (1,)).root is rho.root
+    steps = run(c).stats.steps
+    assert [s.nodes is None for s in steps[2:]] == [True, False]
+    assert steps[3].nodes == steps[1].nodes
+
+
 def test_u1_equal_to_x_is_not_fused_and_gives_the_same_state():
     # The run rule tests the payload by identity, as Gate does for its
     # unitarity check: a user matrix equal to X starts no run.
@@ -86,22 +140,26 @@ def test_u1_equal_to_x_is_not_fused_and_gives_the_same_state():
 
 
 def test_only_runs_take_the_fanout_walk(monkeypatch):
-    # A lone controlled X stays on apply_one_target and a controlled swap
-    # on the operator path; a run of two X gates takes the fan-out walk.
+    # A lone controlled X stays on apply_one_target, a controlled swap on
+    # the operator path and a Toffoli pair onto one target on two lone
+    # walks; a fan-out run of two X gates and a parity run take the walk.
     walked = []
     fanout = circuit.apply_fanout
 
-    def recording(rho, controls, targets):
-        walked.append(list(targets))
-        return fanout(rho, controls, targets)
+    def recording(rho, terms, targets):
+        walked.append((list(terms), list(targets)))
+        return fanout(rho, terms, targets)
 
     monkeypatch.setattr(circuit, "apply_fanout", recording)
     c = Circuit(4, initial=MixtureInit(((1.0, 0b0100), (3.0, 0b0011))),
                 ops=[gates.h(0), cx([(0, 1)], 1),
                      gates.controlled(gates.swap(1, 3), [(0, 1)]),
-                     cx([(0, 1)], 2), cx([(0, 1)], 3)])
+                     cx([(0, 1)], 2), cx([(0, 1)], 3),
+                     gates.toffoli(0, 1, 2), gates.toffoli(0, 3, 2),
+                     cx([(0, 1)], 2), cx([(3, 0)], 2)])
     r = run(c)
-    assert walked == [[2, 3]]
+    assert walked == [([((0, 1),)], [2, 3]),
+                      ([((0, 1),), ((3, 0),)], [2])]
     assert np.abs(to_dense(r.rho) - oracle.dense_run(c).rho).max() <= 1e-12
 
 
@@ -128,6 +186,23 @@ def test_uncontrolled_x_gates_still_multiply(monkeypatch):
     assert to_dense(r.rho)[7, 7] == 1
 
 
+@pytest.mark.parametrize("controls, target", [
+    ([(0, 1), (1, 0)], MAX_QUBITS - 1),
+    ([(MAX_QUBITS - 1, 1), (MAX_QUBITS - 2, 0)], 0),
+], ids=["target-at-bottom", "target-on-top"])
+def test_parity_run_at_max_qubits(controls, target):
+    # With the target at the bottom the walk carries one node and both
+    # sides' parities down to it; with the target on top it carries four
+    # cells all the way down.
+    n = MAX_QUBITS
+    ops = [gates.h(q) for q, _ in controls]
+    ops += [cx([c], target) for c in controls] + [Measure(target)]
+    r = run(Circuit(n, ops=ops))
+    assert [s.nodes is None for s in r.stats.steps[2:4]] == [True, False]
+    (rec,) = r.records
+    assert (rec.p0, rec.p1) == pytest.approx((0.5, 0.5), abs=1e-12)
+
+
 @pytest.mark.parametrize("controls, targets", [
     (((0, 1),), (MAX_QUBITS - 2, MAX_QUBITS - 1)),
     (((MAX_QUBITS - 1, 1),), (0, 1)),
@@ -144,28 +219,46 @@ def test_fanout_at_max_qubits(controls, targets):
         assert (rec.p0, rec.p1) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
-def test_fanout_circuits_agree_with_dense_oracle():
-    """Circuits dense in fan-out runs and the ops that end them, both
-    engines, <= 1e-9, with the same records."""
-    rng = np.random.default_rng(2718)
-    runs = 0
+def _x_runs_agreeing_with_dense_oracle(draw, rng):
+    """Runs 60 circuits from ``draw`` on both engines and checks that
+    they agree, <= 1e-9, with the same records; returns the units of two
+    or more controlled X gates in them."""
+    runs = []
     for _ in range(60):
         n = int(rng.integers(3, 7))
-        c = random_fanout_circuit(rng, n, int(rng.integers(1, 12)))
+        c = draw(rng, n, int(rng.integers(1, 12)))
         seed = int(rng.integers(0, 2**31))
         mine, ref = run(c, seed=seed), oracle.dense_run(c, seed=seed)
         assert np.abs(to_dense(mine.rho) - ref.rho).max() <= 1e-9
         assert [(r.step, r.qubit, r.outcome) for r in mine.records] == \
             [(r.step, r.qubit, r.outcome) for r in ref.records]
-        runs += sum(len(u) > 1 and bool(u[0].controls) for u in _units(c.ops))
-    assert runs > 60
+        runs += [u for u in _units(c.ops) if len(u) > 1 and u[0].controls]
+    return runs
+
+
+def test_fanout_circuits_agree_with_dense_oracle():
+    """Circuits dense in fan-out runs and the ops that end them."""
+    runs = _x_runs_agreeing_with_dense_oracle(
+        random_fanout_circuit, np.random.default_rng(2718))
+    assert len(runs) > 60
+
+
+def test_parity_circuits_agree_with_dense_oracle():
+    """Circuits dense in parity runs and the ops that end them."""
+    runs = _x_runs_agreeing_with_dense_oracle(
+        random_parity_circuit, np.random.default_rng(3141))
+    assert sum(u[0].targets == u[1].targets for u in runs) > 60
 
 
 def test_fanout_rejects_bad_wires():
     rho = run(Circuit(3)).rho
-    for controls, targets in [((), (1, 2)), (((0, 1),), ()),
-                              (((0, 1),), (1, 1)), (((0, 1),), (0, 2))]:
+    for terms, targets in [([], (1, 2)), ([()], (1, 2)), ([((0, 1),)], ()),
+                           ([((0, 1),)], (1, 1)), ([((0, 1),)], (0, 2)),
+                           ([((0, 1), (0, 0))], (1,)),
+                           ([((1, 1),), ((0, 1),)], (1,))]:
         with pytest.raises(ValueError):
-            apply_fanout(rho, controls, targets)
+            apply_fanout(rho, terms, targets)
     with pytest.raises(circuit.CircuitError, match="out of range"):
-        apply_fanout(rho, ((0, 1),), (1, 3))
+        apply_fanout(rho, [((0, 1),)], (1, 3))
+    with pytest.raises(circuit.CircuitError, match="out of range"):
+        apply_fanout(rho, [((0, 1),), ((3, 0),)], (1,))
