@@ -316,8 +316,8 @@ def _build(family: str, n: int) -> Circuit:
     raise ValueError(f"unknown family {family!r}")
 
 
-def scaling_harness(family: str, n_range, engine: str = "quidd",
-                    seed: int = 0) -> list[BenchRow]:
+def scaling_harness(family: str, n_range,
+                    engine: str = "quidd") -> list[BenchRow]:
     """One row per parameter value.
 
     For "grover" the parameter is the qubit count; for "rc_adder" it is
@@ -330,12 +330,12 @@ def scaling_harness(family: str, n_range, engine: str = "quidd",
         circuit = _build(family, n)
         gates = _gate_count(circuit)
         if engine == "quidd":
-            result = run(circuit, seed=seed)
+            result = run(circuit)
             peak = result.stats.peak_nodes
             peak_bytes = peak * NODE_BYTES
         else:
             try:
-                result = dense_run(circuit, seed=seed)
+                result = dense_run(circuit)
             except CapExceeded:
                 rows.append(BenchRow(n, gates, engine, None, None, None,
                                      status="OVER-CAP"))

@@ -13,6 +13,10 @@ A lone gate or channel with one target wire is applied by one walk over
 the state, with no operator and no ``K·rho`` intermediate: side flags
 above the target, the target's four cofactors below it, and the Kraus
 terms summed at the target (``apply_one_target`` gives the details).
+A sampled measurement of outcome ``b`` collapses by the same walk, with
+the projector ``|b><b|`` as its one Kraus operator, and divides by the
+outcome's probability, which ``measure_prob`` sums in one walk over the
+diagonal.
 
 Runs of controlled X gates are applied by one walk over the state,
 which carries at most four nodes however long the run is
@@ -58,12 +62,13 @@ import gc
 import numbers
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import dd, linalg
 from ._rng import XorShift64Star
-from .dd import ADD, LINCOMB, MUL, DDManager, Node, count_nodes
+from .dd import ADD, LINCOMB, DDManager, Node, count_nodes
 from .gates import PAYLOADS, Channel, Gate
 from .linalg import MATRIX, QuIDD, new_manager
 
@@ -443,7 +448,8 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     cell with ``ADD``. A node that skips a level stands for both of its
     cofactors; a zero block stays zero. A 0 coefficient drops its term
     and a 1 keeps its operand node, so ``x``, ``cnot`` and ``toffoli``
-    only permute cofactors and allocate nothing but their result.
+    only permute cofactors, ``collapse``'s projector only zeroes some,
+    and they allocate nothing but their result.
     """
     if len(op.targets) != 1:
         raise ValueError(f"{op!r} does not have exactly one target")
@@ -758,23 +764,6 @@ def apply_fanout(rho: QuIDD, terms, targets) -> QuIDD:
 
 # -- measurement ------------------------------------------------------------
 
-def _outcome_mask(mgr: DDManager, qubit: int, bit: int):
-    """Diagram of [r_q = bit][c_q = bit]; pointwise multiplication with a
-    density matrix realizes P rho P for the basis projector."""
-    one = mgr.terminal(1.0)
-    zero = mgr.terminal(0.0)
-    lr, lc = 2 * qubit, 2 * qubit + 1
-    if bit:
-        return mgr.mk_internal(lr, mgr.mk_internal(lc, one, zero), zero)
-    return mgr.mk_internal(lr, zero, mgr.mk_internal(lc, zero, one))
-
-
-def _masked(rho: QuIDD, qubit: int, bit: int) -> QuIDD:
-    mgr = rho.manager
-    root = mgr.apply(rho.root, _outcome_mask(mgr, qubit, bit), MUL)
-    return linalg._quidd(mgr, root, rho.n_qubits, MATRIX)
-
-
 def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
     """(p0, p1) for a computational basis measurement of ``qubit``.
 
@@ -783,8 +772,8 @@ def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
     sums the pairs of its two diagonal cofactors, and at the qubit the
     pair's entry ``b`` is the trace of the block whose row and column
     bits of the qubit are both ``b``. It allocates no node. The skipped
-    qubits' power-of-two factors are exact, so the pair is bitwise the
-    traces of the two diagrams ``collapse`` masks.
+    qubits' power-of-two factors are exact, so entry ``b`` is bitwise the
+    trace of the projection ``P rho P`` that ``collapse`` forms for it.
     """
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
@@ -818,16 +807,22 @@ def measure_prob(rho: QuIDD, qubit: int) -> tuple[float, float]:
 
 
 def collapse(rho: QuIDD, qubit: int, outcome: int) -> QuIDD:
-    """Project onto ``outcome`` and renormalize: P rho P / p."""
+    """Project onto ``outcome`` and renormalize: P rho P / p.
+
+    ``p`` comes from ``measure_prob`` and is checked before anything is
+    built; ``apply_one_target`` then projects, with ``P =
+    |outcome><outcome|`` as its one Kraus operator.
+    """
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    masked = _masked(rho, qubit, outcome)
-    p = linalg.trace(masked).real
+    p = measure_prob(rho, qubit)[outcome]
     if p <= COLLAPSE_TOL:
         raise SimulationError(
             f"collapse onto outcome {outcome} of qubit {qubit} has "
             f"probability {p:.3g}")
-    return linalg.scalar_op(masked, p, "divide")
+    projector = SimpleNamespace(targets=(qubit,), controls=(), qubits=(qubit,),
+                                kraus=(np.diag([1.0 - outcome, outcome]),))
+    return linalg.scalar_op(apply_one_target(rho, projector), p, "divide")
 
 
 def sample_measure(rho: QuIDD, qubit: int, rng: XorShift64Star):

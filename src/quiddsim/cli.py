@@ -70,7 +70,6 @@ def _build_parser() -> _ArgumentParser:
     p_bench.add_argument("--n-max", type=int, default=10)
     p_bench.add_argument("--engine", choices=["quidd", "dense"],
                          default="quidd")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", metavar="PATH",
                          help="output file; .json selects JSON, anything "
                               "else CSV (default: CSV on stdout)")
@@ -196,7 +195,7 @@ def _cmd_bench(args) -> int:
         return 1
     try:
         rows = scaling_harness(args.family, range(args.n_min, args.n_max + 1),
-                               engine=args.engine, seed=args.seed)
+                               engine=args.engine)
     except (ValueError, *_RUNTIME_ERRORS) as exc:
         _runtime_error(exc)
         return 1

@@ -6,14 +6,18 @@ import sys
 import time
 import weakref
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_circuit
 from quiddsim import circuit, dd, gates, linalg, oracle
 from quiddsim._rng import XorShift64Star
 from quiddsim.bench import gen_code_demo, gen_grover, gen_rc_adder
 from quiddsim.circuit import (
+    COLLAPSE_TOL,
     MAX_QUBITS,
     AmplitudeInit,
     AssertProb,
@@ -349,14 +353,22 @@ def test_measure_prob_allocates_nothing():
     assert rho.manager.node_count == before
 
 
+def _projected(rho, q, b):
+    # P rho P for P = |b><b| on qubit q, formed as collapse forms it: by
+    # the one-target walk with P as its one Kraus operator.
+    projector = SimpleNamespace(targets=(q,), controls=(), qubits=(q,),
+                                kraus=(np.diag([1.0 - b, b]),))
+    return circuit.apply_one_target(rho, projector)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_measure_prob_is_bitwise_the_masked_traces(seed):
-    # The walk sums what the traces of the masked diagrams sum, only
-    # scaled by powers of two at other levels, which is exact.
+def test_measure_prob_is_bitwise_the_projected_traces(seed):
+    # The walk sums what the traces of the projected diagrams sum, only
+    # scaled by powers of two at other levels, which is exact; so the p
+    # that collapse divides by is the projection's own trace.
     rho = _mixed_state(seed, 5)
     for q in range(5):
-        want = tuple(linalg.trace(circuit._masked(rho, q, b)).real
-                     for b in (0, 1))
+        want = tuple(trace(_projected(rho, q, b)).real for b in (0, 1))
         got = measure_prob(rho, q)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -385,6 +397,45 @@ def test_collapse_impossible_outcome_raises():
     mgr = new_manager(1)
     with pytest.raises(SimulationError):
         collapse(basis_rho(mgr, 1, 0), 0, 1)
+
+
+def test_collapse_checks_the_qubit_as_measure_prob_does():
+    # A qubit past the state's width but inside the manager's, or a
+    # negative one, is refused before any diagram is built.
+    rho = basis_rho(new_manager(4), 2, 0)
+    for q in (2, -1):
+        with pytest.raises(ValueError, match=f"qubit {q} out of range"):
+            collapse(rho, q, 0)
+
+
+def test_collapse_onto_probability_zero_allocates_nothing():
+    mgr = new_manager(4)
+    rho = basis_rho(mgr, 2, 0)
+    before = mgr.node_count
+    with pytest.raises(SimulationError):
+        collapse(rho, 1, 1)
+    assert mgr.node_count == before
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       pure=st.booleans())
+def test_collapse_matches_the_dense_projection(seed, n, pure):
+    # A random pure state, mixed by a bit flip on each qubit unless pure.
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    ops = [] if pure else [gates.bit_flip(q, float(rng.uniform(0.05, 0.5)))
+                           for q in range(n)]
+    rho = run(Circuit(n, ops=ops, initial=AmplitudeInit(tuple(v)))).rho
+    dense = to_dense(rho)
+    for q in range(n):
+        for b in (0, 1):
+            if measure_prob(rho, q)[b] <= COLLAPSE_TOL:
+                continue
+            out = collapse(rho, q, b)
+            want = oracle._collapse(dense, q, b, n, 0)
+            assert np.max(np.abs(to_dense(out) - want)) <= 1e-12
+            assert abs(trace(out) - 1) <= 1e-12
 
 
 def test_sample_measure_deterministic_cases():

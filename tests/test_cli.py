@@ -205,6 +205,14 @@ def test_bench_bad_range(capsys):
     assert "--n-min" in capsys.readouterr().err
 
 
+def test_bench_takes_no_seed(capsys):
+    # Neither family samples a measurement, so a seed would change no row.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n-min", "5", "--n-max", "5", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
