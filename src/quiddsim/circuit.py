@@ -34,6 +34,13 @@ gates with two or more controls onto one target, such as an adder's
 Toffoli pairs: a lone walk stops at a node as soon as both its flags
 clear.
 
+A controlled unit whose controls fire nowhere on the state leaves it as
+it is: when every entry whose row meets the controls, and every entry
+whose column does, is zero (a syndrome value or an adder's carry that
+reads 0), both walks return the state itself. ``_silent`` tests that
+in one walk that makes no node, and makes it before any of the unit's
+own setup.
+
 Every other unit goes through full n-qubit operator diagrams, built for
 each application, and two matrix multiplications per Kraus operator:
 layers, ``swap``, two-target ``u1`` gates and channels on more than one
@@ -42,16 +49,18 @@ splits at the targets, follows the firing cell at the controls, scales
 by a one-qubit factor's entries at a factor's wire and is identity
 elsewhere.
 
-A layer is a run of consecutive uncontrolled one-target gates on
-distinct wires, at most ``LAYER_WIRES`` of them. It is applied as a
+A layer is a run of consecutive uncontrolled one-target gates with
+library payloads (``gates.PAYLOADS``, tested by identity) on distinct
+wires, at most ``LAYER_WIRES`` of them. It is applied as a
 single operator, the tensor product of the payloads with the identity on
 the other wires, which the walk builds with one factor per gate (H on n
 wires takes 4n nodes), so the run costs two multiplications. Layers keep
 the operator because one walk per gate leaves larger intermediate
 states: ``run(bench.gen_grover(15))`` peaks at 228 nodes with layers and
-at 395 with every gate walked. A measurement, probe, trace, channel,
-controlled or multi-target gate, a repeated wire or a full layer ends
-the run. A layer or a run of X gates takes effect at its last gate;
+at 395 with every gate walked. A ``u1`` is walked on its own: a layer
+of generic payloads is an operator of 2^(2k+1)-1 nodes for k gates. A
+measurement, probe, trace, channel, ``u1``, controlled or multi-target
+gate, a repeated wire or a full layer ends the run. A layer or a run of X gates takes effect at its last gate;
 the steps before it report no node count and no time, as no state
 exists after them.
 """
@@ -112,16 +121,17 @@ COLLAPSE_TOL = 1e-12
 # channel, a measurement and a partial trace still run at 480 qubits and
 # fail at 500. This leaves room for the callers' own stack frames.
 MAX_QUBITS = 400
-# Most gates applied as one layer. The cap bounds a layer's size: k
-# generic ``u1`` payloads make a layer of 2^(2k+1)-1 nodes (131,071 at
-# k = 8). Wider layers also cost accuracy: the first 81 steps of a
+# Most gates applied as one layer. Wider layers cost accuracy, though
+# a layer holds only library payloads: the first 81 steps of a
 # 15-qubit Grover search as one layer per run of gates end about 4e-9
 # off, because a block sum of the multiply below dd.ZERO_EPS snaps to
 # zero and every entry built on it inherits that error.
 LAYER_WIRES = 8
-# The payload a fan-out run carries, recognised by identity like the
-# library payloads that skip the unitarity check.
-_X = PAYLOADS["x"]
+# The payloads a unit may carry, recognised by identity (``id``) like the
+# library payloads that skip the unitarity check: the library X for a
+# run of controlled X gates, any library payload for a layer.
+_X_RUN = frozenset((id(PAYLOADS["x"]),))
+_LAYER = frozenset(id(m) for m in PAYLOADS.values())
 
 
 class _StepError(Exception):
@@ -365,7 +375,7 @@ def _embed_operator(mgr: DDManager, matrix: np.ndarray, targets, controls,
     polarity = dict(controls)
     factors = dict(factors)
     cells = ((1, 1), (1, 0), (0, 1), (0, 0))
-    mk = mgr.mk_internal
+    mk = mgr._mk
 
     def walk(q: int, i: int, j: int) -> Node:
         if q == n:
@@ -429,6 +439,60 @@ def apply_channel(rho: QuIDD, operators: list[QuIDD]) -> QuIDD:
     return total
 
 
+def _silent(rho: QuIDD, term) -> bool:
+    """Whether ``term``, a non-empty tuple of ``(wire, polarity)``
+    literals, fires nowhere on ``rho``: every entry whose row meets all
+    of the literals, and every entry whose column does, is zero.
+
+    One depth-first walk from the root carries two flags, "row side
+    live" and "column side live", as ``apply_one_target``'s walk does: at
+    a literal's row level the branch that misses it clears the row flag,
+    at its column level the column flag. A branch with both flags clear
+    or at the zero node passes; below the last literal's levels a live
+    branch passes only at the zero node. A skipped literal level keeps
+    the flags, as its matching branch does, and that branch asks for
+    more than the other. The walk stops at the first branch that fails,
+    visits each ``(node, flags)`` once and makes no node. It tests rows
+    and columns apart: a test of the diagonal or of a trace holds only
+    for a positive semidefinite state, and the walks take any matrix.
+    """
+    # The flags as one int, 2·row + col, and per level down to the last
+    # literal the masks that its hi and lo branches keep of them.
+    last = 2 * max(q for q, _ in term) + 1
+    masks = [(3, 3)] * (last + 1)
+    for q, p in term:
+        masks[2 * q] = (3, 1) if p else (1, 3)
+        masks[2 * q + 1] = (3, 2) if p else (2, 3)
+    root = rho.root
+    if root.value == 0:
+        return True
+    seen = {root.idx << 2 | 3}
+    stack = [(root, 3)]
+    while stack:
+        x, f = stack.pop()
+        lv = x.level
+        if lv > last:  # a nonzero node below the literals, a side live
+            return False
+        mh, ml = masks[lv]
+        g = f & mh
+        if g:
+            y = x.hi
+            if y.value != 0:  # internal nodes hold value None
+                key = y.idx << 2 | g
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((y, g))
+        g = f & ml
+        if g:
+            y = x.lo
+            if y.value != 0:
+                key = y.idx << 2 | g
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((y, g))
+    return True
+
+
 def apply_one_target(rho: QuIDD, op) -> QuIDD:
     """``sum_k K~_k rho K~_k+`` for a gate or channel ``op`` with one
     target wire, by one memoized walk over ``rho`` (``K~``: the Kraus
@@ -449,7 +513,10 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     cofactors; a zero block stays zero. A 0 coefficient drops its term
     and a 1 keeps its operand node, so ``x``, ``cnot`` and ``toffoli``
     only permute cofactors, ``collapse``'s projector only zeroes some,
-    and they allocate nothing but their result.
+    and they allocate nothing but their result. A gate whose controls
+    fire nowhere on ``rho`` (``_silent``) returns ``rho`` itself before
+    the walk: every cell the walk would combine is the zero node, so it
+    would give back ``rho.root``.
     """
     if len(op.targets) != 1:
         raise ValueError(f"{op!r} does not have exactly one target")
@@ -457,6 +524,8 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
         if not 0 <= q < rho.n_qubits:
             raise CircuitError(
                 f"qubit {q} out of range for {rho.n_qubits} qubit(s)")
+    if op.controls and _silent(rho, op.controls):
+        return rho
     mgr = rho.manager
     (target,) = op.targets
     rt, ct = 2 * target, 2 * target + 1
@@ -474,7 +543,7 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     kraus = [tuple((complex(row[0]), complex(row[1]))
                    for row in (k[0], k[1], k[0].conj(), k[1].conj()))
              for k in op.kraus]
-    mk = mgr.mk_internal
+    mk = mgr._mk
     ap = mgr._apply
     memo: dict = {}
 
@@ -586,7 +655,10 @@ def apply_fanout(rho: QuIDD, terms, targets) -> QuIDD:
     an ordinary level. Once both sides are settled, the walk goes on
     over one node, swapping children at the target levels of each side
     that fires. X permutes cofactors and makes no terminal, so the
-    result is the node that the gates applied one by one give.
+    result is the node that the gates applied one by one give. A unit
+    none of whose terms fires anywhere on ``rho`` (``_silent``) returns
+    ``rho`` itself once the arguments are checked, before the move
+    tables are built.
     """
     n = rho.n_qubits
     if len(set(targets)) != len(targets):
@@ -610,6 +682,8 @@ def apply_fanout(rho: QuIDD, terms, targets) -> QuIDD:
     for q in literals.keys() | targets:
         if not 0 <= q < n:
             raise CircuitError(f"qubit {q} out of range for {n} qubit(s)")
+    if all(_silent(rho, term) for term in terms):
+        return rho
     mgr = rho.manager
 
     # Per control wire, in order: each open side state that reaches it,
@@ -644,7 +718,7 @@ def apply_fanout(rho: QuIDD, terms, targets) -> QuIDD:
     swaps = [(), cols, rows, rows | cols]
     last_target = 2 * max(targets) + 1
     lasts = [-1, last_target, last_target - 1, last_target]
-    mk = mgr.mk_internal
+    mk = mgr._mk
     memo: dict = {}
     settled_memo: dict = {}
 
@@ -899,7 +973,8 @@ def _unit_length(ops: list, start: int) -> int:
     A parity run is library X gates that each have exactly one control
     and share one target. A fan-out run is library X gates, each on one
     target, with one identical, non-empty control tuple; a layer is
-    uncontrolled one-target gates, at most ``LAYER_WIRES`` of them.
+    uncontrolled one-target gates with library payloads, at most
+    ``LAYER_WIRES`` of them; a ``u1`` is a lone op and ends a layer.
     Either of the last two covers distinct target wires. The second op
     decides between a parity run and a fan-out run, which cannot both
     hold for it; the first op's run is then as long as it goes."""
@@ -907,7 +982,8 @@ def _unit_length(ops: list, start: int) -> int:
     if not isinstance(first, Gate) or len(first.targets) != 1:
         return 1
     controls = first.controls
-    if controls and first.matrix is not _X:
+    payloads = _X_RUN if controls else _LAYER
+    if id(first.matrix) not in payloads:
         return 1
     # The second op tells a parity run from a fan-out run.
     after = ops[start + 1] if start + 1 < len(ops) else None
@@ -918,7 +994,7 @@ def _unit_length(ops: list, start: int) -> int:
     for i in range(start + 1, end):
         op = ops[i]
         if not (isinstance(op, Gate) and len(op.targets) == 1
-                and (not controls or op.matrix is _X)):
+                and id(op.matrix) in payloads):
             return i - start
         if parity:
             joins = len(op.controls) == 1 and op.targets == first.targets

@@ -314,6 +314,14 @@ class DDManager:
             raise OrderingError(
                 f"children of level {level} must test later variables "
                 f"(got {var_name(hi.level)}, {var_name(lo.level)})")
+        return self._mk(level, hi, lo)
+
+    def _mk(self, level: int, hi: Node, lo: Node) -> Node:
+        """``mk_internal`` without its range and order checks, for the
+        kernel's own walks, whose levels are right by construction:
+        reduction, then the unique-table lookup."""
+        if hi is lo:
+            return hi
         key = (level, hi.idx, lo.idx)
         node = self._internal.get(key)
         if node is None:
@@ -384,7 +392,7 @@ class DDManager:
         op, such as the block sums of a multiply, build it once.
         """
         cache = self._cache
-        mk = self.mk_internal
+        mk = self._mk
         term = self.terminal
         scale = self._scale
         is_mul = op is MUL
@@ -511,7 +519,7 @@ class DDManager:
         if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
         cache = self._cache
-        mk = self.mk_internal
+        mk = self._mk
 
         def rec(a):
             if a.level > level:

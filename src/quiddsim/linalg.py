@@ -331,7 +331,7 @@ def conj_transpose(a: QuIDD) -> QuIDD:
         raise ValueError("conj_transpose expects a matrix")
     mgr = a.manager
     cache = mgr._cache
-    mk = mgr.mk_internal
+    mk = mgr._mk
 
     def rec(node: Node) -> Node:
         if node.level == TERMINAL_LEVEL:
@@ -385,7 +385,7 @@ def _multiply_nodes(mgr: DDManager, a: Node, b: Node, n: int) -> Node:
     """
     cache = mgr._cache
     term = mgr.terminal
-    mk = mgr.mk_internal
+    mk = mgr._mk
     add = mgr._applier(ADD)
     TL = TERMINAL_LEVEL
 
@@ -515,7 +515,7 @@ def partial_trace(rho: QuIDD, qubit: int) -> QuIDD:
     mgr = rho.manager
     lr, lc = 2 * qubit, 2 * qubit + 1
     cache = mgr._cache
-    mk = mgr.mk_internal
+    mk = mgr._mk
     ap = mgr._apply
 
     def pt(node: Node) -> Node:

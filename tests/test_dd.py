@@ -165,6 +165,27 @@ def test_mk_internal_ordering_guards():
         mgr.mk_internal(-1, one, zero)
 
 
+def test_unchecked_mk_shares_the_unique_table():
+    mgr = DDManager(4)
+    one, two = mgr.terminal(1.0), mgr.terminal(2.0)
+    c = mgr._mk(col_var(0), one, two)
+    assert mgr.mk_internal(col_var(0), one, two) is c
+    before = mgr.node_count
+    assert mgr._mk(row_var(0), c, one) is mgr.mk_internal(row_var(0), c, one)
+    assert mgr.node_count == before + 1
+    assert mgr._mk(row_var(0), c, c) is c  # reduction, no node
+
+
+def test_rebuild_keeps_the_order_check():
+    # The kernel's walks build with the unchecked _mk; a rebuild that
+    # moves level 2 to 0, across its unmoved level-1 parent, still raises.
+    mgr = DDManager(6)
+    one, zero = mgr.terminal(1.0), mgr.terminal(0.0)
+    f = mgr._mk(1, mgr._mk(2, one, zero), zero)
+    with pytest.raises(OrderingError):
+        mgr.rebuild(f, threshold=2, delta=-2)
+
+
 def test_no_reachable_node_violates_reduction():
     rng = np.random.default_rng(11)
     mgr = DDManager(6)

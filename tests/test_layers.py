@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from helpers import random_unitary
 
-from quiddsim import circuit, gates, oracle
+from quiddsim import circuit, gates, linalg, oracle
 from quiddsim.bench import gen_grover
 from quiddsim.circuit import (
     LAYER_WIRES,
+    AmplitudeInit,
     Circuit,
     Measure,
     PartialTraceOp,
@@ -103,16 +104,19 @@ def test_layers_agree_with_dense_engine(kind):
         assert mine.stats.prints == ref.stats.prints
 
 
+# A layer holds library payloads only: each u1 is walked alone and ends
+# the layer before it, so h x | u1 | t is applied at steps 1, 2 and 3.
 @pytest.mark.parametrize("kind, applied", [
-    ("measure", [3, 4, 8]),
-    ("print", [3, 4, 5, 9]),
-    ("ptrace", [3, 4, 7]),
-    ("channel", [3, 4, 8]),
-    ("controlled", [3, 4, 8]),
-    ("multi-target", [3, 4, 8]),
+    ("measure", [1, 2, 3, 4, 6, 7, 8]),
+    ("print", [1, 2, 3, 4, 5, 7, 8, 9]),
+    ("ptrace", [1, 2, 3, 4, 6, 7]),
+    ("channel", [1, 2, 3, 4, 6, 7, 8]),
+    ("controlled", [1, 2, 3, 4, 6, 7, 8]),
+    ("multi-target", [1, 2, 3, 4, 6, 7, 8]),
     # h x u1 t on wires 0-3, then on wires 3-0: wire 3 repeats at step 4.
-    ("repeated-wire", [3, 7]),
-    ("ninth-gate", [LAYER_WIRES - 1, 9, 10 + LAYER_WIRES - 1, 19]),
+    ("repeated-wire", [1, 2, 3, 5, 6, 7]),
+    # h x u1 | t y s z h x | u1, then the same on wires 9-0.
+    ("ninth-gate", [1, 2, 8, 9, 11, 12, 18, 19]),
 ])
 def test_layer_stats_shape(kind, applied):
     c = boundary_circuit(kind)
@@ -127,6 +131,33 @@ def test_layer_stats_shape(kind, applied):
     states = [s.nodes for s in stats.steps if s.nodes is not None]
     assert stats.peak_nodes == max([initial.node_count] + states)
     assert stats.steps[-1].nodes == count_nodes(run(c).rho.root)
+
+
+def test_layer_ends_at_its_cap():
+    steps = run(Circuit(10, ops=[gates.h(q) for q in range(10)])).stats.steps
+    assert [s.step for s in steps if s.nodes is not None] == \
+        [LAYER_WIRES - 1, 9]
+
+
+def test_u1_gates_are_walked_not_multiplied(monkeypatch):
+    # A layer of generic payloads would be an operator of 2^(2k+1)-1
+    # nodes and two full multiplies; each u1 is walked on its own.
+    rng = np.random.default_rng(9)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    c = Circuit(5, initial=AmplitudeInit(tuple(amps)),
+                ops=[gates.u1(q, random_unitary(rng, 2)) for q in range(5)])
+    calls = []
+    multiply = linalg.matrix_multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(linalg, "matrix_multiply", counting)
+    mine = run(c)
+    assert calls == []
+    assert [s.nodes is None for s in mine.stats.steps] == [False] * 5
+    assert np.abs(to_dense(mine.rho) - oracle.dense_run(c).rho).max() <= 1e-12
 
 
 def exact_state(c: Circuit) -> np.ndarray:
