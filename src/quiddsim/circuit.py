@@ -11,8 +11,10 @@ Kraus operator ``U``, and the state becomes ``sum_k K_k rho K_k+``.
 
 A lone gate or channel with one target wire is applied by one walk over
 the state, with no operator and no ``K·rho`` intermediate: side flags
-above the target, the target's four cofactors below it, and the Kraus
-terms summed at the target (``apply_one_target`` gives the details).
+above the target and the target's four cofactors below it. A gate's new
+cells are its rows, then its columns; a channel's are each one
+combination of the four cofactors through its 4×4 superoperator, so no
+Kraus term is built on its own (``apply_one_target`` gives the details).
 A sampled measurement of outcome ``b`` collapses by the same walk, with
 the projector ``|b><b|`` as its one Kraus operator, and divides by the
 outcome's probability, which ``measure_prob`` sums in one walk over the
@@ -504,12 +506,22 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     clears the row flag, at its column level the column flag; a node with
     both flags clear is kept as it is. The target's row and column levels
     split a node into its four cofactors ``x_rc``, which are carried
-    together past the controls below the target, with the same flags. At
-    the bottom each Kraus operator ``K`` gives ``y_ad = K[a][0]·x_0d +
+    together past the controls below the target, with the same flags.
+    At the bottom the new cells ``z_ab`` take one of two forms, picked
+    once per call from the number of Kraus operators. With one (a gate,
+    or ``collapse``'s projector) it gives ``y_ad = K[a][0]·x_0d +
     K[a][1]·x_1d`` if the row side is live, then ``z_ab =
     conj(K[b][0])·y_a0 + conj(K[b][1])·y_a1`` if the column side is, each
-    one cached ``LINCOMB`` apply, and the Kraus terms are summed cell by
-    cell with ``ADD``. A node that skips a level stands for both of its
+    one cached ``LINCOMB`` apply. With more (a channel, which has no
+    controls, so both sides are live) it computes the Liouville
+    superoperator ``S[ab][rc] = sum_k K_k[a][r]·conj(K_k[b][c])`` once
+    and forms ``z_ab = sum_rc S[ab][rc]·x_rc`` from the non-zeros of row
+    ``ab``: a lone one is a rebuild, a pair one ``LINCOMB`` apply, and
+    more are pairs summed with ``ADD``. A bit or phase flip has at most
+    two non-zeros per row, so each cell is one apply and no per-Kraus
+    term is built. A unitary keeps the row-then-column form: its ``S``
+    can be dense (an ``h`` has 16 non-zeros, 12 applies per quadruple
+    against 8). A node that skips a level stands for both of its
     cofactors; a zero block stays zero. A 0 coefficient drops its term
     and a 1 keeps its operand node, so ``x``, ``cnot`` and ``toffoli``
     only permute cofactors, ``collapse``'s projector only zeroes some,
@@ -520,6 +532,8 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     """
     if len(op.targets) != 1:
         raise ValueError(f"{op!r} does not have exactly one target")
+    if op.controls and len(op.kraus) > 1:
+        raise ValueError(f"{op!r} is a channel with controls")
     for q in op.qubits:
         if not 0 <= q < rho.n_qubits:
             raise CircuitError(
@@ -539,31 +553,59 @@ def apply_one_target(rho: QuIDD, op) -> QuIDD:
     above = [c for c in levels if c[0] < rt]
     above.append((rt, True, True, True, True))
     below = [c for c in levels if c[0] > ct]
-    # Per Kraus operator: the rows of K, then the rows of conj(K).
-    kraus = [tuple((complex(row[0]), complex(row[1]))
-                   for row in (k[0], k[1], k[0].conj(), k[1].conj()))
-             for k in op.kraus]
     mk = mgr._mk
     ap = mgr._apply
     memo: dict = {}
+    if len(op.kraus) == 1:
+        # The rows of K, then the rows of conj(K).
+        (k,) = op.kraus
+        r0, r1, c0, c1 = ((complex(row[0]), complex(row[1]))
+                          for row in (k[0], k[1], k[0].conj(), k[1].conj()))
 
-    def cells(x00, x01, x10, x11, row, col):
-        # The target's new cells: the Kraus terms, summed.
-        sums = None
-        for r0, r1, c0, c1 in kraus:
-            y00, y01, y10, y11 = x00, x01, x10, x11
+        def cells(x00, x01, x10, x11, row, col):
+            # The target's new cells: rows by K, then columns by K+.
             if row:
-                y00, y10 = ap(x00, x10, LINCOMB, r0), ap(x00, x10, LINCOMB, r1)
-                y01, y11 = ap(x01, x11, LINCOMB, r0), ap(x01, x11, LINCOMB, r1)
+                x00, x10 = ap(x00, x10, LINCOMB, r0), ap(x00, x10, LINCOMB, r1)
+                x01, x11 = ap(x01, x11, LINCOMB, r0), ap(x01, x11, LINCOMB, r1)
             if col:
-                y00, y01 = ap(y00, y01, LINCOMB, c0), ap(y00, y01, LINCOMB, c1)
-                y10, y11 = ap(y10, y11, LINCOMB, c0), ap(y10, y11, LINCOMB, c1)
-            if sums is not None:
-                s00, s01, s10, s11 = sums
-                y00, y01 = ap(s00, y00, ADD), ap(s01, y01, ADD)
-                y10, y11 = ap(s10, y10, ADD), ap(s11, y11, ADD)
-            sums = y00, y01, y10, y11
-        return sums
+                x00, x01 = ap(x00, x01, LINCOMB, c0), ap(x00, x01, LINCOMB, c1)
+                x10, x11 = ap(x10, x11, LINCOMB, c0), ap(x10, x11, LINCOMB, c1)
+            return x00, x01, x10, x11
+    else:
+        # S[ab][rc] = sum_k K_k[a][r]·conj(K_k[b][c]), summed in the
+        # order of the Kraus operators. Per cell ab, the non-zeros of its
+        # row in pairs: (rc, rc', (S, S')), or (rc, None, S) for the last
+        # of an odd count.
+        ks = [[[complex(v) for v in row] for row in k] for k in op.kraus]
+        quad_bits = ((0, 0), (0, 1), (1, 0), (1, 1))
+        plans = []
+        for a, b in quad_bits:
+            nz = []
+            for i, (r, c) in enumerate(quad_bits):
+                s = sum((k[a][r] * k[b][c].conjugate() for k in ks), 0j)
+                if s != 0:
+                    nz.append((i, s))
+            plan = [(i, j, (s, t))
+                    for (i, s), (j, t) in zip(nz[::2], nz[1::2])]
+            if len(nz) % 2:
+                plan.append((nz[-1][0], None, nz[-1][1]))
+            plans.append(plan)
+        scale = mgr._scale
+
+        def cells(x00, x01, x10, x11, row, col):
+            # The target's new cells z_ab = sum_rc S[ab][rc]·x_rc: a
+            # LINCOMB apply per pair of non-zeros, a rebuild for a lone
+            # one, and ADD over the pairs.
+            x = (x00, x01, x10, x11)
+            out = []
+            for plan in plans:
+                z = None
+                for i, j, s in plan:
+                    y = scale(x[i], s) if j is None else ap(x[i], x[j],
+                                                           LINCOMB, s)
+                    z = y if z is None else ap(z, y, ADD)
+                out.append(mgr.terminal(0.0) if z is None else z)
+            return out
 
     # Both walks split nodes inline, without a helper: the split runs for
     # every entry of a walk, and a call per split costs about 8 % of a

@@ -591,9 +591,9 @@ class DDManager:
 def iter_nodes(f: Node, seen: set[int] | None = None) -> Iterable[Node]:
     """Depth-first iteration over distinct reachable nodes.
 
-    The one reachability walk of the kernel; :func:`count_nodes`,
-    :func:`support`, :meth:`DDManager.collect` and
-    :meth:`DDManager.to_dot` reduce over it. Nodes whose ``idx`` is in
+    The reachability walk that :func:`support`,
+    :meth:`DDManager.collect` and :meth:`DDManager.to_dot` reduce over;
+    :func:`count_nodes` has its own loop. Nodes whose ``idx`` is in
     ``seen`` are skipped, and every node visited is added to it, so walks
     that share ``seen`` visit each node once.
     """
@@ -612,8 +612,27 @@ def iter_nodes(f: Node, seen: set[int] | None = None) -> Iterable[Node]:
 
 
 def count_nodes(f: Node) -> int:
-    """Number of distinct nodes reachable from ``f``, terminals included."""
-    return sum(1 for _ in iter_nodes(f))
+    """Number of distinct nodes reachable from ``f``, terminals included.
+
+    ``run`` counts every state it makes, so this is a flat loop that
+    marks each child as it is pushed, rather than a sum over
+    :func:`iter_nodes`, whose generator resumes once per node.
+    """
+    seen = {f.idx}
+    stack = [f]
+    pop, push, mark = stack.pop, stack.append, seen.add
+    while stack:
+        node = pop()
+        if node.level != TERMINAL_LEVEL:
+            y = node.hi
+            if y.idx not in seen:
+                mark(y.idx)
+                push(y)
+            y = node.lo
+            if y.idx not in seen:
+                mark(y.idx)
+                push(y)
+    return len(seen)
 
 
 def support(f: Node) -> set[int]:

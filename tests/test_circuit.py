@@ -230,10 +230,15 @@ def test_apply_gate_hh_on_01_projector():
     gates.cnot(1, 3),
     gates.cnot(4, 2),
     gates.controlled(gates.x(2), [(0, 0), (1, 1), (4, 0)]),
-], ids=["x", "cnot-above", "cnot-below", "toffoli-mixed"])
+    gates.bit_flip(2, 0.3),
+    gates.phase_flip(2, 0.3),
+], ids=["x", "cnot-above", "cnot-below", "toffoli-mixed", "bit-flip",
+        "phase-flip"])
 def test_permutation_gate_allocates_only_its_result(gate):
-    # A permutation only moves cofactors, so every node the walk
-    # allocates is part of the result: no intermediate K·rho is built.
+    # A permutation only moves cofactors, and each cell of a bit or phase
+    # flip is one combination of at most two of them, so every node the
+    # walk allocates is part of the result: no intermediate K·rho, and no
+    # per-Kraus term, is built.
     prep = [gates.h(0), gates.u1(2, np.array([[0.6, 0.8j], [0.8j, 0.6]])),
             gates.cnot(0, 3), gates.bit_flip(1, 0.3), gates.h(4),
             gates.cnot(4, 1)]
@@ -259,6 +264,27 @@ def test_bitflip_p0_is_noop_edge():
     rho = apply_gate(basis_rho(mgr, 1, 0), build_operator(mgr, gates.h(0), 1))
     out = apply_channel(rho, _channel_ops(mgr, gates.bit_flip(0, 0.0), 1))
     assert out.root is rho.root
+
+
+def test_bitflip_p0_walk_is_noop_edge():
+    # S is the identity: each cell keeps its cofactor, so the walk
+    # rebuilds every node it passes as the node it was.
+    rho = run(Circuit(3, ops=[gates.h(0), gates.cnot(0, 2),
+                              gates.phase_flip(1, 0.2)],
+                      initial=MixtureInit(((0.6, 0b010), (0.4, 0b101))))).rho
+    for q in range(3):
+        out = circuit.apply_one_target(rho, gates.bit_flip(q, 0.0))
+        assert out.root is rho.root
+
+
+def test_one_target_walk_refuses_a_controlled_channel():
+    # A channel's cells assume both sides live at the target.
+    rho = basis_rho(new_manager(2), 2, 0)
+    ch = gates.bit_flip(1, 0.3)
+    op = SimpleNamespace(targets=(1,), controls=((0, 1),), qubits=(0, 1),
+                         kraus=ch.kraus)
+    with pytest.raises(ValueError, match="channel with controls"):
+        circuit.apply_one_target(rho, op)
 
 
 def test_bitflip_p1_flips_basis_state():
@@ -795,7 +821,7 @@ def test_run_frees_manager_without_cyclic_collector(make):
     (lambda: gen_rc_adder(7, 9), (324, 34), None),
     (lambda: gen_code_demo("steane7", ("x", 3)), (7524, 625), None),
     (lambda: gen_code_demo("steane7", ("x", 3)), (7632, 625), 3 * 2**11),
-    (_steane_with_bit_flip, (11073, 850), None),
+    (_steane_with_bit_flip, (9855, 850), None),
 ], ids=["grover", "adder", "steane7", "steane7-collecting",
         "steane7-bit-flip"])
 def test_allocation_counts_pinned(make, counts, floor, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_circuit, random_unitary
 from quiddsim import gates
 from quiddsim.circuit import (
+    AmplitudeInit,
     _unit_operators,
     apply_channel,
     apply_gate,
@@ -19,6 +20,7 @@ from quiddsim.circuit import (
     build_operator,
     run,
 )
+from quiddsim.dd import count_nodes, iter_nodes
 from quiddsim.lang import (
     AssertProbStmt,
     ChannelStmt,
@@ -158,6 +160,47 @@ def test_one_target_walk_matches_operator_path(seed, n, depth, data):
         want = apply_channel(rho, _unit_operators(mgr, [ch], n))
         got = apply_one_target(rho, ch)
         assert np.abs(to_dense(got) - to_dense(want)).max() <= 1e-12
+
+
+@FIXED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       depth=st.integers(0, 8), count=st.integers(2, 4), pure=st.booleans(),
+       data=st.data())
+def test_channel_cells_match_the_dense_kraus_sum(seed, n, depth, count,
+                                                  pure, data):
+    """A one-target channel, walked through its superoperator cells,
+    gives the dense ``sum_k K_k rho K_k+``: a random CPTP channel of
+    ``count`` Kraus operators on a pure state (gates only, from a vector)
+    or a mixed one, with the target anywhere."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, n, depth, with_measures=False)
+    if pure:
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        c.initial = AmplitudeInit(tuple(v))
+        c.ops = [op for op in c.ops if isinstance(op, gates.Gate)]
+    rho = run(c, seed=seed).rho
+    target = data.draw(st.integers(0, n - 1))
+    kraus = _random_kraus(rng, count)
+    got = to_dense(apply_one_target(
+        rho, gates.kraus_channel((target,), kraus)))
+    dense = to_dense(rho)
+    left, right = np.eye(1 << target), np.eye(1 << (n - 1 - target))
+    want = 0
+    for k in kraus:
+        full = np.kron(np.kron(left, k), right)
+        want = want + full @ dense @ full.conj().T
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(np.trace(got) - 1) <= 1e-12
+    assert np.abs(got - got.conj().T).max() <= 1e-12
+
+
+@FIXED
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       depth=st.integers(0, 12))
+def test_count_nodes_counts_what_iter_nodes_visits(seed, n, depth):
+    rho = run(random_circuit(np.random.default_rng(seed), n, depth),
+              seed=seed).rho
+    assert count_nodes(rho.root) == sum(1 for _ in iter_nodes(rho.root))
 
 
 # Fragments of the language and characters that have tripped the lexer,
