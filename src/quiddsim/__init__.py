@@ -82,7 +82,6 @@ from .lang import (
     interpret,
     parse,
     pretty,
-    validate_script,
 )
 from .bench import (
     gen_bb84,
@@ -118,8 +117,7 @@ __all__ = [
     # reference engine
     "dense_run", "CapExceeded",
     # language
-    "parse", "validate_script", "interpret", "pretty", "ParseError",
-    "ScriptError",
+    "parse", "interpret", "pretty", "ParseError", "ScriptError",
     # benchmarks
     "gen_grover", "gen_rc_adder", "gen_code_demo", "gen_bb84",
     "grover_iterations", "grover_success_probability", "scaling_harness",

@@ -62,9 +62,9 @@ states: ``run(bench.gen_grover(15))`` peaks at 228 nodes with layers and
 at 395 with every gate walked. A ``u1`` is walked on its own: a layer
 of generic payloads is an operator of 2^(2k+1)-1 nodes for k gates. A
 measurement, probe, trace, channel, ``u1``, controlled or multi-target
-gate, a repeated wire or a full layer ends the run. A layer or a run of X gates takes effect at its last gate;
-the steps before it report no node count and no time, as no state
-exists after them.
+gate, a repeated wire or a full layer ends the run. A layer or a run of
+X gates takes effect at its last gate; the steps before it report no
+node count and no time, as no state exists after them.
 """
 
 from __future__ import annotations
@@ -1133,7 +1133,7 @@ def _run(circuit: Circuit, seed: int) -> RunResult:
                 rho = linalg.partial_trace(rho, op.qubit)
             elif isinstance(op, TraceAllOp):
                 value = linalg.trace(rho)
-                rho = linalg.partial_trace_multi(rho, range(rho.n_qubits))
+                rho = linalg._quidd(mgr, mgr.terminal(value), 0, MATRIX)
                 prints.append((step, f"trace_all: {format_value(value)}"))
             elif isinstance(op, AssertProb):
                 p0, p1 = measure_prob(rho, op.qubit)

@@ -76,6 +76,11 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+# Built once: an argparse parser holds reference cycles, so one built
+# per call would leave garbage that only the cyclic collector frees.
+_PARSER = _build_parser()
+
+
 def _final_array(result: RunResult) -> np.ndarray:
     rho = result.rho
     if isinstance(rho, QuIDD):
@@ -213,7 +218,7 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_bench(args)

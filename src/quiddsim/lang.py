@@ -36,6 +36,8 @@ line:column positions.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,16 +62,14 @@ __all__ = [
     "ScriptError",
     "Script",
     "parse",
-    "validate_script",
     "interpret",
     "pretty",
 ]
 
-_SIMPLE_GATES = ("h", "x", "y", "z", "s", "t")
-_GATE_HEADS = _SIMPLE_GATES + ("u1", "cnot", "toffoli", "swap")
 
+class _PositionedError(Exception):
+    """An error at a 1-based ``line:col`` of the script text."""
 
-class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
         self.message = message
@@ -77,12 +77,12 @@ class ParseError(Exception):
         self.col = col
 
 
-class ScriptError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class ParseError(_PositionedError):
+    """The text is not a script: a fault of the lexer or the grammar."""
+
+
+class ScriptError(_PositionedError):
+    """The script parses but breaks a rule of the language or the IR."""
 
 
 # -- AST --------------------------------------------------------------------
@@ -192,10 +192,21 @@ class Script:
 
 
 # -- lexer ------------------------------------------------------------------
+# One alternative per token kind; blanks and comments match unnamed. The
+# last alternative takes any character, so the matches tile the text.
+# Digits are ASCII only. ``\w`` is ``str.isalnum()`` or ``_``; a word that
+# does not start with a letter or ``_`` is refused in ``_lex``.
+
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<KET>\|(?P<bits>[01]*)(?P<close>[>⟩])?)"
+    r"|(?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]*)?)"
+    r"|(?P<IDENT>\w+)|(?P<PUNCT>[\[\],-])|(?P<BAD>.)")
+
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str
+    kind: str  # NEWLINE KET INT FLOAT IDENT EOF, or the punctuation itself
     value: object
     line: int
     col: int
@@ -203,105 +214,83 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token("NEWLINE", None, line, col))
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-                col += 1
-        elif ch == "|":
-            start_col = col
-            j = i + 1
-            bits = []
-            while j < size and text[j] in "01":
-                bits.append(text[j])
-                j += 1
-            if not bits:
-                raise ParseError("ket needs at least one bit", line, start_col)
-            if j >= size or text[j] not in (">", "⟩"):
-                raise ParseError("unterminated ket", line, start_col)
-            tokens.append(_Token("KET", "".join(bits), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-        elif ch == "[":
-            tokens.append(_Token("LBRACK", None, line, col))
-            i += 1
-            col += 1
-        elif ch == "]":
-            tokens.append(_Token("RBRACK", None, line, col))
-            i += 1
-            col += 1
-        elif ch == ",":
-            tokens.append(_Token("COMMA", None, line, col))
-            i += 1
-            col += 1
-        elif ch == "-":
-            tokens.append(_Token("MINUS", None, line, col))
-            i += 1
-            col += 1
-        elif "0" <= ch <= "9":
-            start_col = col
-            j = i
-            while j < size and "0" <= text[j] <= "9":
-                j += 1
-            is_float = False
-            if j < size and text[j] == ".":
-                is_float = True
-                j += 1
-                while j < size and "0" <= text[j] <= "9":
-                    j += 1
-            if j < size and text[j] in "eE":
-                k = j + 1
-                if k < size and text[k] in "+-":
-                    k += 1
-                if k >= size or not "0" <= text[k] <= "9":
-                    raise ParseError("malformed number", line, start_col)
-                is_float = True
-                j = k
-                while j < size and "0" <= text[j] <= "9":
-                    j += 1
-            word = text[i:j]
-            if is_float:
-                value = float(word)
-                if value == float("inf"):
-                    raise ParseError("number out of range", line, start_col)
-                tokens.append(_Token("FLOAT", value, line, start_col))
-            else:
+    line, start = 1, 0  # ``start``: the offset where the line begins
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "KET":
+            if not m["bits"]:
+                raise ParseError("ket needs at least one bit", line, col)
+            if not m["close"]:
+                raise ParseError("unterminated ket", line, col)
+            value = m["bits"]
+        elif kind == "NUMBER":
+            if value[-1] in "eE+-":
+                raise ParseError("malformed number", line, col)
+            if value.isdigit():
+                kind = "INT"
                 try:
-                    value = int(word)
+                    value = int(value)
                 except ValueError:  # beyond sys.get_int_max_str_digits()
-                    raise ParseError("integer too long", line,
-                                     start_col) from None
-                tokens.append(_Token("INT", value, line, start_col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", None, line, col))
+                    raise ParseError("integer too long", line, col) from None
+            else:
+                kind, value = "FLOAT", float(value)
+                if value == math.inf:
+                    raise ParseError("number out of range", line, col)
+        elif kind == "PUNCT":
+            kind = value
+        elif kind == "BAD" or kind == "IDENT" and not (
+                value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        if kind is not None:
+            tokens.append(_Token(kind, value, line, col))
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+    tokens.append(_Token("EOF", None, line, len(text) - start + 1))
     return tokens
 
 
+# -- statement forms --------------------------------------------------------
+# Every statement but ``init``, ``cu`` and ``print`` is a head and a fixed
+# list of arguments. Its form gives the AST class, the fields the head
+# fixes, and the arguments field by field, each named by the text of the
+# error at it ("expected a qubit index"); a tuple of texts reads a tuple
+# field. The arguments in _NUMBERS are numbers, the others integers. The
+# parser and ``pretty`` both read this table.
+
+_QUBIT = "a qubit index"
+_CONTROL = "a control qubit"
+_PROB = "a probability"
+_NUMBERS = (_PROB, "a tolerance", "a matrix entry", "a weight")
+
+_FORMS = {
+    "qubits": (QubitsStmt, {}, {"count": "a qubit count"}),
+    **{name: (SimpleGate, {"name": name}, {"qubits": (_QUBIT,)})
+       for name in _g.PAYLOADS},
+    "u1": (U1Stmt, {}, {"qubit": _QUBIT, "entries": ("a matrix entry",) * 8}),
+    "cnot": (SimpleGate, {"name": "cnot"},
+             {"qubits": (_CONTROL, "a target qubit")}),
+    "toffoli": (SimpleGate, {"name": "toffoli"},
+                {"qubits": (_CONTROL, _CONTROL, "a target qubit")}),
+    "swap": (SimpleGate, {"name": "swap"}, {"qubits": (_QUBIT, _QUBIT)}),
+    "bitflip": (ChannelStmt, {"kind": "bitflip"},
+                {"qubit": _QUBIT, "p": _PROB}),
+    "phaseflip": (ChannelStmt, {"kind": "phaseflip"},
+                  {"qubit": _QUBIT, "p": _PROB}),
+    "measure": (MeasureStmt, {"sample": False}, {"qubit": _QUBIT}),
+    "pmeasure": (MeasureStmt, {"sample": True}, {"qubit": _QUBIT}),
+    "ptrace": (PtraceStmt, {}, {"qubit": _QUBIT}),
+    "trace_all": (TraceAllStmt, {}, {}),
+    "assert_prob": (AssertProbStmt, {},
+                    {"qubit": _QUBIT, "outcome": "an outcome bit",
+                     "value": _PROB, "tol": "a tolerance"}),
+}
+
+
 # -- parser -----------------------------------------------------------------
+
+def _error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, tok.line, tok.col)
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
@@ -311,166 +300,101 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def accept(self, kind: str, *words: str) -> _Token | None:
+        """The next token if it is a ``kind`` (one of ``words``, if any
+        are given), consumed; else None."""
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if tok.kind != kind or words and tok.value not in words:
+            return None
+        self.pos += 1
         return tok
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        return self.advance()
+        tok = self.accept(kind)
+        if tok is None:
+            raise _error(f"expected {what}", self.peek())
+        return tok
 
-    def expect_int(self, what: str) -> int:
-        return self.expect("INT", what).value
-
-    def number(self, what: str) -> float:
-        tok = self.peek()
-        sign = 1.0
-        if tok.kind == "MINUS":
-            self.advance()
-            sign = -1.0
-            tok = self.peek()
-        if tok.kind not in ("INT", "FLOAT"):
-            raise ParseError(f"expected {what}", tok.line, tok.col)
-        self.advance()
+    def arg(self, what: str):
+        if what not in _NUMBERS:
+            return self.expect("INT", what).value
+        sign = -1.0 if self.accept("-") else 1.0
+        tok = self.accept("INT") or self.accept("FLOAT")
+        if tok is None:
+            raise _error(f"expected {what}", self.peek())
         try:
             return sign * float(tok.value)
         except OverflowError:
-            raise ParseError(f"{what} out of range", tok.line,
-                             tok.col) from None
-
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind == "NEWLINE":
-            self.advance()
-        elif tok.kind != "EOF":
-            raise ParseError("unexpected trailing input", tok.line, tok.col)
+            raise _error(f"{what} out of range", tok) from None
 
     def parse_script(self) -> Script:
         statements = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "NEWLINE":
-                self.advance()
+        while self.peek().kind != "EOF":
+            if self.accept("NEWLINE"):
                 continue
             statements.append(self.statement())
-            self.end_statement()
+            if not self.accept("NEWLINE") and self.peek().kind != "EOF":
+                raise _error("unexpected trailing input", self.peek())
         return Script(statements)
 
     def statement(self):
-        tok = self.expect("IDENT", "a statement")
-        name = tok.value
-        line, col = tok.line, tok.col
-        if name == "qubits":
-            return QubitsStmt(self.expect_int("a qubit count"), line, col)
-        if name == "init":
-            return self.init_statement(line, col)
-        if name in ("measure", "pmeasure"):
-            return MeasureStmt(self.expect_int("a qubit index"),
-                               name == "pmeasure", line, col)
-        if name == "ptrace":
-            return PtraceStmt(self.expect_int("a qubit index"), line, col)
-        if name == "trace_all":
-            return TraceAllStmt(line, col)
-        if name == "print":
-            return self.print_statement(line, col)
-        if name in ("bitflip", "phaseflip"):
-            q = self.expect_int("a qubit index")
-            p = self.number("a probability")
-            return ChannelStmt(name, q, p, line, col)
-        if name == "assert_prob":
-            q = self.expect_int("a qubit index")
-            outcome = self.expect_int("an outcome bit")
-            value = self.number("a probability")
-            tol = self.number("a tolerance")
-            return AssertProbStmt(q, outcome, value, tol, line, col)
-        if name == "cu":
-            return self.cu_statement(line, col)
-        if name in _GATE_HEADS:
-            return self.gate_clause(name, line, col)
-        raise ParseError(f"unknown statement {name!r}", line, col)
-
-    def init_statement(self, line, col):
-        tok = self.peek()
-        if tok.kind == "KET":
-            self.advance()
-            return InitKet(tok.value, line, col)
-        if tok.kind == "IDENT" and tok.value == "mix":
-            self.advance()
-            terms = []
-            while self.peek().kind in ("INT", "FLOAT", "MINUS"):
-                w = self.number("a weight")
-                ket = self.expect("KET", "a ket")
-                terms.append((w, ket.value))
-            if not terms:
-                tok = self.peek()
-                raise ParseError("mixture needs at least one term",
-                                 tok.line, tok.col)
-            return InitMix(tuple(terms), line, col)
-        raise ParseError("expected a ket or 'mix'", tok.line, tok.col)
-
-    def print_statement(self, line, col):
-        tok = self.expect("IDENT", "'probs', 'trace' or 'nodes'")
-        if tok.value == "probs":
-            return PrintStmt("probs", self.expect_int("a qubit index"),
-                             line, col)
-        if tok.value in ("trace", "nodes"):
-            return PrintStmt(tok.value, None, line, col)
-        raise ParseError("expected 'probs', 'trace' or 'nodes'",
-                         tok.line, tok.col)
-
-    def cu_statement(self, line, col):
-        self.expect("LBRACK", "'['")
-        controls = [self.control_entry()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            controls.append(self.control_entry())
-        self.expect("RBRACK", "']'")
-        head = self.expect("IDENT", "a gate name")
+        head = self.expect("IDENT", "a statement")
+        if head.value == "init":
+            return self.init_statement(head)
         if head.value == "cu":
-            raise ParseError("cu cannot wrap another cu", head.line, head.col)
-        if head.value not in _GATE_HEADS:
-            raise ParseError(f"cannot control {head.value!r}",
-                             head.line, head.col)
-        inner = self.gate_clause(head.value, head.line, head.col)
-        return CuStmt(tuple(controls), inner, line, col)
+            return self.cu_statement(head)
+        if head.value == "print":
+            return self.print_statement(head)
+        if head.value not in _FORMS:
+            raise _error(f"unknown statement {head.value!r}", head)
+        return self.form(head)
 
-    def control_entry(self):
-        tok = self.peek()
-        polarity = 1
-        if tok.kind == "MINUS":
-            self.advance()
-            polarity = 0
-        q = self.expect_int("a control qubit")
-        return (q, polarity)
+    def form(self, head: _Token):
+        cls, fixed, args = _FORMS[head.value]
+        values = {
+            name: tuple(map(self.arg, what)) if isinstance(what, tuple)
+            else self.arg(what)
+            for name, what in args.items()}
+        return cls(**fixed, **values, line=head.line, col=head.col)
 
-    def gate_clause(self, name, line, col):
-        if name in _SIMPLE_GATES:
-            return SimpleGate(name, (self.expect_int("a qubit index"),),
-                              line, col)
-        if name == "u1":
-            q = self.expect_int("a qubit index")
-            entries = tuple(self.number("a matrix entry") for _ in range(8))
-            return U1Stmt(q, entries, line, col)
-        if name == "cnot":
-            c = self.expect_int("a control qubit")
-            t = self.expect_int("a target qubit")
-            return SimpleGate("cnot", (c, t), line, col)
-        if name == "toffoli":
-            c1 = self.expect_int("a control qubit")
-            c2 = self.expect_int("a control qubit")
-            t = self.expect_int("a target qubit")
-            return SimpleGate("toffoli", (c1, c2, t), line, col)
-        if name == "swap":
-            a = self.expect_int("a qubit index")
-            b = self.expect_int("a qubit index")
-            return SimpleGate("swap", (a, b), line, col)
-        raise ParseError(f"unknown gate {name!r}", line, col)
+    def init_statement(self, head: _Token):
+        ket = self.accept("KET")
+        if ket:
+            return InitKet(ket.value, head.line, head.col)
+        if not self.accept("IDENT", "mix"):
+            raise _error("expected a ket or 'mix'", self.peek())
+        terms = []
+        while self.peek().kind in ("INT", "FLOAT", "-"):
+            w = self.arg("a weight")
+            terms.append((w, self.expect("KET", "a ket").value))
+        if not terms:
+            raise _error("mixture needs at least one term", self.peek())
+        return InitMix(tuple(terms), head.line, head.col)
+
+    def print_statement(self, head: _Token):
+        what = self.accept("IDENT", "probs", "trace", "nodes")
+        if what is None:
+            raise _error("expected 'probs', 'trace' or 'nodes'", self.peek())
+        qubit = self.arg(_QUBIT) if what.value == "probs" else None
+        return PrintStmt(what.value, qubit, head.line, head.col)
+
+    def cu_statement(self, head: _Token):
+        self.expect("[", "'['")
+        controls = [self.control()]
+        while self.accept(","):
+            controls.append(self.control())
+        self.expect("]", "']'")
+        gate = self.expect("IDENT", "a gate name")
+        if gate.value == "cu":
+            raise _error("cu cannot wrap another cu", gate)
+        if gate.value not in _FORMS or \
+                _FORMS[gate.value][0] not in (SimpleGate, U1Stmt):
+            raise _error(f"cannot control {gate.value!r}", gate)
+        return CuStmt(tuple(controls), self.form(gate), head.line, head.col)
+
+    def control(self) -> tuple:
+        polarity = 0 if self.accept("-") else 1
+        return (self.arg(_CONTROL), polarity)
 
 
 def parse(text: str) -> Script:
@@ -586,63 +510,40 @@ def interpret(script: Script) -> Circuit:
     return circuit
 
 
-def validate_script(script: Script) -> None:
-    """:func:`interpret` with the circuit dropped."""
-    interpret(script)
-
-
 # -- pretty printing --------------------------------------------------------
 
-def _num(v: float) -> str:
-    return repr(float(v))
-
-
-def _format_controls(controls) -> str:
-    parts = [("-" if pol == 0 else "") + str(q) for q, pol in controls]
-    return "[" + ", ".join(parts) + "]"
-
-
-def _format_gate_clause(stmt) -> str:
-    if isinstance(stmt, U1Stmt):
-        return f"u1 {stmt.qubit} " + " ".join(_num(e) for e in stmt.entries)
-    return stmt.name + " " + " ".join(str(q) for q in stmt.qubits)
+def _format_form(stmt) -> str:
+    """The text of a statement of the ``_FORMS`` table."""
+    for head, (cls, fixed, args) in _FORMS.items():
+        if type(stmt) is cls and all(
+                getattr(stmt, k) == v for k, v in fixed.items()):
+            words = [head]
+            for name, what in args.items():
+                value = getattr(stmt, name)
+                pairs = (zip(what, value, strict=True)
+                         if isinstance(what, tuple) else [(what, value)])
+                words += [repr(float(v)) if w in _NUMBERS else str(v)
+                          for w, v in pairs]
+            return " ".join(words)
+    raise ValueError(f"cannot print {stmt!r}")
 
 
 def pretty(script: Script) -> str:
     """Canonical text form; parsing it back gives an equal AST."""
     lines = []
     for stmt in script.statements:
-        if isinstance(stmt, QubitsStmt):
-            lines.append(f"qubits {stmt.count}")
-        elif isinstance(stmt, InitKet):
+        if isinstance(stmt, InitKet):
             lines.append(f"init |{stmt.bits}>")
         elif isinstance(stmt, InitMix):
-            body = " ".join(f"{_num(w)} |{bits}>" for w, bits in stmt.terms)
+            body = " ".join(f"{float(w)!r} |{bits}>" for w, bits in stmt.terms)
             lines.append(f"init mix {body}")
-        elif isinstance(stmt, (SimpleGate, U1Stmt)):
-            lines.append(_format_gate_clause(stmt))
         elif isinstance(stmt, CuStmt):
-            lines.append(
-                f"cu {_format_controls(stmt.controls)} "
-                f"{_format_gate_clause(stmt.inner)}")
-        elif isinstance(stmt, ChannelStmt):
-            lines.append(f"{stmt.kind} {stmt.qubit} {_num(stmt.p)}")
-        elif isinstance(stmt, MeasureStmt):
-            lines.append(
-                f"{'pmeasure' if stmt.sample else 'measure'} {stmt.qubit}")
-        elif isinstance(stmt, PtraceStmt):
-            lines.append(f"ptrace {stmt.qubit}")
-        elif isinstance(stmt, TraceAllStmt):
-            lines.append("trace_all")
+            controls = ", ".join(("-" if pol == 0 else "") + str(q)
+                                 for q, pol in stmt.controls)
+            lines.append(f"cu [{controls}] {_format_form(stmt.inner)}")
         elif isinstance(stmt, PrintStmt):
-            if stmt.what == "probs":
-                lines.append(f"print probs {stmt.qubit}")
-            else:
-                lines.append(f"print {stmt.what}")
-        elif isinstance(stmt, AssertProbStmt):
-            lines.append(
-                f"assert_prob {stmt.qubit} {stmt.outcome} "
-                f"{_num(stmt.value)} {_num(stmt.tol)}")
+            lines.append(f"print probs {stmt.qubit}" if stmt.what == "probs"
+                         else f"print {stmt.what}")
         else:
-            raise ValueError(f"cannot print {stmt!r}")
+            lines.append(_format_form(stmt))
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from quiddsim.bench import (
 )
 from quiddsim.circuit import measure_prob, run
 from quiddsim.dd import ADD
-from quiddsim.lang import ParseError, ScriptError, parse, pretty, validate_script
+from quiddsim.lang import ParseError, ScriptError, interpret, parse, pretty
 from quiddsim.linalg import (
     entry,
     from_dense,
@@ -259,7 +259,7 @@ def test_acceptance_parser():
         m = directive.match(text)
         kind, line, col = m.group(1), int(m.group(2)), int(m.group(3))
         try:
-            validate_script(parse(text))
+            interpret(parse(text))
             failures.append(("accepted", path.name))
         except (ParseError, ScriptError) as exc:
             wrong_kind = isinstance(exc, ParseError) != (kind == "parse")

@@ -744,6 +744,21 @@ def test_run_ptrace_and_trace_all():
     assert any("trace_all: 1" in text for _, text in r2.stats.prints)
 
 
+def test_trace_all_computes_the_trace_once(monkeypatch):
+    # The 0-qubit state is the terminal of the trace the step prints, as
+    # in the dense engine; no qubit is traced out one at a time.
+    calls = []
+    real = linalg.partial_trace
+    monkeypatch.setattr(linalg, "partial_trace",
+                        lambda *args: calls.append(args) or real(*args))
+    c = Circuit(3, initial=MixtureInit(((0.25, 1), (0.75, 6))),
+                ops=[gates.h(0), gates.bit_flip(2, 0.125), TraceAllOp()])
+    r = run(c)
+    assert calls == []
+    assert r.rho.n_qubits == 0
+    assert to_dense(r.rho) == pytest.approx(oracle.dense_run(c).rho)
+
+
 def test_run_assert_prob():
     ok = Circuit(1, ops=[gates.h(0), AssertProb(0, 1, 0.5, 1e-9)])
     run(ok)

@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, stats reports, cross-checks."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,8 @@ import pytest
 from quiddsim.cli import main
 
 BELL = "qubits 2\nh 0\ncnot 0 1\nmeasure 0\npmeasure 1\n"
+MALFORMED = sorted(
+    (Path(__file__).parent / "scripts" / "malformed").glob("*.qpd"))
 
 
 @pytest.fixture
@@ -49,6 +53,17 @@ def test_run_validation_error_position(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"validation error: {path}:2:1:" in err
+
+
+@pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
+def test_malformed_script_exits_1_at_its_position(path, capsys):
+    kind, line, col = re.match(r"# expect (parse|script) (\d+):(\d+)",
+                               path.read_text()).groups()
+    label = "parse" if kind == "parse" else "validation"
+    assert main(["run", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(f"{label} error: {path}:{line}:{col}: ")
+    assert out.out == ""
 
 
 def test_run_missing_file(tmp_path, capsys):

@@ -133,24 +133,17 @@ def test_run_leaves_no_cyclic_garbage(seed, n, depth):
 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_cli_run_leaves_no_cyclic_garbage(collector, script, seed, tmp_path,
-                                          monkeypatch):
-    # The parser is built beforehand: argparse's parser holds reference
-    # cycles of its own. ``--stats`` is left out for the same reason, as
-    # json's encoder with an indent builds its writer from closures that
-    # refer to each other. ``--check`` adds a dense run.
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+def test_cli_run_leaves_no_cyclic_garbage(collector, script, seed, tmp_path):
+    # ``--stats`` is left out: json's encoder with an indent builds its
+    # writer from closures that refer to each other (33 objects a call).
+    # ``--check`` adds a dense run.
     argv = ["run", str(script), "--seed", str(seed), "--check",
             "--dump-dot", str(tmp_path / "state.dot")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert _cyclic_garbage_of(lambda: cli.main(argv)) == 0
 
 
-def test_cli_failing_run_leaves_no_cyclic_garbage(collector, tmp_path,
-                                                  monkeypatch):
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+def test_cli_failing_run_leaves_no_cyclic_garbage(collector, tmp_path):
     script = tmp_path / "fails.qpd"
     script.write_text("qubits 1\nh 0\nassert_prob 0 1 1.0 1e-9\n")
     err = io.StringIO()
@@ -158,3 +151,11 @@ def test_cli_failing_run_leaves_no_cyclic_garbage(collector, tmp_path,
         assert _cyclic_garbage_of(lambda: cli.main(["run", str(script)])) \
             == 0
     assert err.getvalue().startswith("runtime error: step 1: assert_prob")
+
+
+def test_cli_plain_run_leaves_no_cyclic_garbage(collector):
+    # The argparse parser, which holds reference cycles, is built once per
+    # process and not at every call.
+    argv = ["run", str(SCRIPTS[0].with_name("bell.qpd"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _cyclic_garbage_of(lambda: cli.main(argv)) == 0

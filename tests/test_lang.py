@@ -25,7 +25,6 @@ from quiddsim.lang import (
     interpret,
     parse,
     pretty,
-    validate_script,
 )
 from quiddsim.linalg import to_dense
 
@@ -81,7 +80,7 @@ def test_malformed_positions(path):
     kind, line, col = m.group(1), int(m.group(2)), int(m.group(3))
     expected = ParseError if kind == "parse" else ScriptError
     with pytest.raises(expected) as err:
-        validate_script(parse(text))
+        interpret(parse(text))
     assert (err.value.line, err.value.col) == (line, col), path.name
     assert str(err.value).startswith(f"{line}:{col}: ")
 
@@ -193,7 +192,7 @@ def test_no_partial_execution():
 def test_validate_script_reports_inner_u1():
     text = "qubits 2\ncu [ 0 ] u1 1 1 0 0 0 0 0 0 0\n"
     with pytest.raises(ScriptError) as err:
-        validate_script(parse(text))
+        interpret(parse(text))
     assert "unitary" in err.value.message
     assert (err.value.line, err.value.col) == (2, 10)
 

@@ -37,9 +37,9 @@ from quiddsim.lang import (
     SimpleGate,
     TraceAllStmt,
     U1Stmt,
+    interpret,
     parse,
     pretty,
-    validate_script,
 )
 from quiddsim.linalg import partial_trace, to_dense
 
@@ -221,7 +221,7 @@ def test_any_text_ends_in_parse_or_script_error(text):
     """Bad input ends in a positioned ParseError or ScriptError, never in
     another exception."""
     try:
-        validate_script(parse(text))
+        interpret(parse(text))
     except (ParseError, ScriptError):
         pass
 
